@@ -5,9 +5,13 @@
 //! executor for `ExecuteTxn`, a pipeline stage for `OpGroup`, an OLAP
 //! worker for `QueryQ3`. The loop is non-blocking in the paper's sense
 //! (§2.1): an event whose turn has not come (streaming-CC order stamp not
-//! yet admissible) is *parked*, and the AC keeps processing other events;
-//! when nothing is runnable the AC backs off instead of spinning so it
-//! never starves collocated components on small hosts.
+//! yet admissible) is *parked* on its order gate, and the AC keeps
+//! processing other events. The loop is also event-driven: when the inbox
+//! is empty the AC spins and yields briefly — enough to stay awake across
+//! the gaps of a loaded system — and then falls *asleep* in
+//! [`Inbox::wait`] until the next send (or the last sender dropping) wakes
+//! it. There is no polling interval for a transaction to wait out, and an
+//! idle AC never starves collocated components on small hosts.
 //!
 //! ## Batched wakeups
 //!
@@ -234,7 +238,7 @@ impl AnyComponent {
                 }
                 Err(PopState::Empty) => {
                     self.ctrl.observe(0);
-                    backoff.wait();
+                    self.inbox.wait(&mut backoff);
                 }
                 Err(PopState::Disconnected) => break,
             }
@@ -407,6 +411,7 @@ mod tests {
     use anydb_workload::tpcc::gen::TxnRequest;
     use anydb_workload::tpcc::{CustomerSelector, PaymentParams, TpccConfig};
     use crossbeam::channel::{unbounded, Receiver};
+    use std::time::{Duration, Instant};
 
     /// Collects `n` transaction completion notices, flattening the batched
     /// protocol (one `DoneBatch` per drained chunk per channel) back into
@@ -774,5 +779,83 @@ mod tests {
         }
         tx.send(Event::Shutdown);
         handle.join().unwrap();
+    }
+
+    /// Long enough for the AC to use up its spin → yield prelude and fall
+    /// asleep in `Inbox::wait`.
+    fn go_idle() {
+        std::thread::sleep(Duration::from_millis(25));
+    }
+
+    /// Joins the AC, failing instead of hanging if it never wakes to exit.
+    fn join_within_10s(handle: JoinHandle<()>) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !handle.is_finished() {
+            assert!(Instant::now() < deadline, "AC did not exit");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn sleeping_ac_wakes_for_every_event_kind() {
+        // The AC sleeps with no timeout, so each event sent after an idle
+        // gap has only the sender's wake to get it executed.
+        let db = Arc::new(TpccDb::load(TpccConfig::small(), 52).unwrap());
+        let committed = Arc::new(Counter::new());
+        let (tx, handle) = AnyComponent::spawn(AcId(0), db, None, committed);
+        let (done_tx, done_rx) = unbounded::<DoneBatch>();
+        let answer = || {
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a sleeping AC was not woken")
+                .0
+        };
+
+        go_idle();
+        tx.send(Event::ExecuteTxn {
+            txn: TxnId(1),
+            req: payment(1, 10.0),
+            done: done_tx.clone(),
+        });
+        let ok = |txn| vec![Completion::Txn(OpDone { txn, ok: true })];
+        assert_eq!(answer(), ok(TxnId(1)));
+
+        go_idle();
+        let tracker = TxnTracker::new(TxnId(2), 1, done_tx.clone());
+        tx.send(Event::OpGroup(env(2, 0, 0, tracker)));
+        assert_eq!(answer(), ok(TxnId(2)));
+
+        go_idle();
+        tx.send(Event::QueryQ3 {
+            query: anydb_common::QueryId(3),
+            spec: anydb_workload::chbench::Q3Spec::default(),
+            done: done_tx,
+        });
+        assert!(matches!(
+            answer().as_slice(),
+            [Completion::Query {
+                query: anydb_common::QueryId(3),
+                rows: _
+            }]
+        ));
+
+        go_idle();
+        tx.send(Event::Shutdown);
+        join_within_10s(handle);
+    }
+
+    #[test]
+    fn sleeping_ac_exits_when_every_sender_is_dropped() {
+        // No `Event::Shutdown`: the last sender dropping must itself wake
+        // the AC so that it observes `Disconnected`.
+        let db = Arc::new(TpccDb::load(TpccConfig::small(), 53).unwrap());
+        let committed = Arc::new(Counter::new());
+        let (tx, handle) = AnyComponent::spawn(AcId(0), db, None, committed);
+        let tx2 = tx.clone();
+        go_idle();
+        drop(tx);
+        drop(tx2);
+        join_within_10s(handle);
     }
 }
