@@ -37,6 +37,7 @@ use crate::error::{DbError, DbResult};
 use crate::schema::{DataType, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
+use crate::wire::{self, WireRead};
 
 /// Wire tags for the columnar encoding (one per column, not per value).
 const TAG_INT: u8 = 1;
@@ -56,6 +57,21 @@ const MAX_DECODE_ROWS: usize = 1 << 24;
 /// Maximum predicate nesting the decoder accepts (a corrupt `And` chain
 /// must not recurse unboundedly).
 const MAX_PRED_DEPTH: usize = 8;
+
+/// The smallest predicate encoding: an empty `And` (tag + u16 count).
+const MIN_PRED_WIRE_SIZE: usize = 3;
+
+/// The smallest column encoding: a zero-row column without a bitmap
+/// (tag + null flag).
+const MIN_COLUMN_WIRE_SIZE: usize = 2;
+
+/// Converts a packed payload of big-endian values, `N` bytes each.
+fn unpack<const N: usize, T>(bytes: &[u8], from_be: impl Fn([u8; N]) -> T) -> Vec<T> {
+    bytes
+        .chunks_exact(N)
+        .map(|v| from_be(v.try_into().expect("chunks_exact yields N bytes")))
+        .collect()
+}
 
 /// Sets bit `row` in a little-endian byte bitmap, growing it as needed.
 fn bit_set(bits: &mut Vec<u8>, row: usize) {
@@ -1495,9 +1511,7 @@ impl ColPredicate {
 
     /// Encodes into a fresh buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.encode_into(&mut buf);
-        buf.freeze()
+        wire::encode(0, |buf| self.encode_into(buf))
     }
 
     /// Decodes one predicate, advancing `buf` past the consumed bytes.
@@ -1511,48 +1525,26 @@ impl ColPredicate {
         if depth > MAX_PRED_DEPTH {
             return Err(DbError::Codec("predicate nesting too deep"));
         }
-        if buf.remaining() < 1 {
-            return Err(DbError::Codec("predicate tag truncated"));
-        }
-        match buf.get_u8() {
-            PRED_INT_GE => {
-                if buf.remaining() < 4 + 8 {
-                    return Err(DbError::Codec("int-ge predicate truncated"));
-                }
-                let col = buf.get_u32() as usize;
-                let min = buf.get_i64();
-                Ok(ColPredicate::IntGe { col, min })
-            }
-            PRED_INT_BETWEEN => {
-                if buf.remaining() < 4 + 16 {
-                    return Err(DbError::Codec("int-between predicate truncated"));
-                }
-                let col = buf.get_u32() as usize;
-                let min = buf.get_i64();
-                let max = buf.get_i64();
-                Ok(ColPredicate::IntBetween { col, min, max })
-            }
+        match buf.read_u8()? {
+            PRED_INT_GE => Ok(ColPredicate::IntGe {
+                col: buf.read_u32()? as usize,
+                min: buf.read_i64()?,
+            }),
+            PRED_INT_BETWEEN => Ok(ColPredicate::IntBetween {
+                col: buf.read_u32()? as usize,
+                min: buf.read_i64()?,
+                max: buf.read_i64()?,
+            }),
             PRED_STR_PREFIX => {
-                if buf.remaining() < 4 + 2 {
-                    return Err(DbError::Codec("str-prefix predicate truncated"));
-                }
-                let col = buf.get_u32() as usize;
-                let len = buf.get_u16() as usize;
-                if buf.remaining() < len {
-                    return Err(DbError::Codec("str-prefix payload truncated"));
-                }
-                let mut bytes = vec![0u8; len];
-                buf.copy_to_slice(&mut bytes);
-                let prefix =
-                    String::from_utf8(bytes).map_err(|_| DbError::Codec("str-prefix not utf-8"))?;
+                let col = buf.read_u32()? as usize;
+                let len = buf.read_u16()?;
+                let prefix = buf.read_str(len.into(), "str-prefix not utf-8")?;
                 Ok(ColPredicate::StrPrefix { col, prefix })
             }
             PRED_AND => {
-                if buf.remaining() < 2 {
-                    return Err(DbError::Codec("and predicate truncated"));
-                }
-                let n = buf.get_u16() as usize;
-                let mut ps = Vec::with_capacity(n.min(64));
+                let n = buf.read_u16()?;
+                let n = buf.count(n, MIN_PRED_WIRE_SIZE, "and predicate count exceeds payload")?;
+                let mut ps = Vec::with_capacity(n);
                 for _ in 0..n {
                     ps.push(Self::decode_depth(buf, depth + 1)?);
                 }
@@ -1562,14 +1554,9 @@ impl ColPredicate {
         }
     }
 
-    /// Decodes from a standalone buffer (must be fully consumed).
+    /// Decodes a standalone frame holding exactly one predicate.
     pub fn decode(bytes: &Bytes) -> DbResult<ColPredicate> {
-        let mut buf = bytes.clone();
-        let p = Self::decode_from(&mut buf)?;
-        if buf.remaining() != 0 {
-            return Err(DbError::Codec("trailing bytes after predicate"));
-        }
-        Ok(p)
+        wire::decode_exact(bytes, Self::decode_from)
     }
 }
 
@@ -1934,40 +1921,25 @@ impl ColumnBatch {
 
     /// Encodes into a fresh buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.bytes());
-        self.encode_into(&mut buf);
-        buf.freeze()
+        wire::encode(self.bytes(), |buf| self.encode_into(buf))
     }
 
     /// Decodes one batch, advancing `buf` past the consumed bytes.
     /// Rejects truncation, unknown tags, and malformed string layouts.
+    /// Each column payload is bounds-checked once and converted from one
+    /// slice.
     pub fn decode_from(buf: &mut impl Buf) -> DbResult<ColumnBatch> {
-        if buf.remaining() < 6 {
-            return Err(DbError::Codec("column batch header truncated"));
-        }
-        let rows = buf.get_u32() as usize;
-        let ncols = buf.get_u16() as usize;
+        let rows = buf.read_u32()? as usize;
+        let ncols = buf.read_u16()?;
         if rows > MAX_DECODE_ROWS {
             return Err(DbError::Codec("column batch row count implausible"));
         }
+        let ncols = buf.count(ncols, MIN_COLUMN_WIRE_SIZE, "column count exceeds payload")?;
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            if buf.remaining() < 2 {
-                return Err(DbError::Codec("column header truncated"));
-            }
-            let tag = buf.get_u8();
-            let has_nulls = match buf.get_u8() {
-                0 => false,
-                1 => true,
-                _ => return Err(DbError::Codec("bad null-bitmap flag")),
-            };
-            let nulls = if has_nulls {
-                let want = rows.div_ceil(8);
-                if buf.remaining() < want {
-                    return Err(DbError::Codec("null bitmap truncated"));
-                }
-                let mut bm = vec![0u8; want];
-                buf.copy_to_slice(&mut bm);
+            let tag = buf.read_u8()?;
+            let nulls = if buf.read_bool("bad null-bitmap flag")? {
+                let mut bm = buf.read_slice(rows.div_ceil(8), <[u8]>::to_vec)?;
                 // Canonicalize to the builder's lazy form (bits are only
                 // ever set, so an in-memory bitmap never ends in a zero
                 // byte).
@@ -1980,33 +1952,20 @@ impl ColumnBatch {
             };
             let data = match tag {
                 TAG_INT => {
-                    if buf.remaining() < 8 * rows {
-                        return Err(DbError::Codec("int column truncated"));
-                    }
-                    ColumnData::Int(Arc::new((0..rows).map(|_| buf.get_i64()).collect()))
+                    let ints = buf.read_slice(8 * rows, |b| unpack(b, i64::from_be_bytes))?;
+                    ColumnData::Int(Arc::new(ints))
                 }
                 TAG_FLOAT => {
-                    if buf.remaining() < 8 * rows {
-                        return Err(DbError::Codec("float column truncated"));
-                    }
-                    ColumnData::Float(Arc::new((0..rows).map(|_| buf.get_f64()).collect()))
+                    let floats = buf.read_slice(8 * rows, |b| unpack(b, f64::from_be_bytes))?;
+                    ColumnData::Float(Arc::new(floats))
                 }
                 TAG_STR => {
-                    if buf.remaining() < 4 * (rows + 1) {
-                        return Err(DbError::Codec("str offsets truncated"));
-                    }
-                    let offsets: Vec<u32> = (0..=rows).map(|_| buf.get_u32()).collect();
+                    let offsets =
+                        buf.read_slice(4 * (rows + 1), |b| unpack(b, u32::from_be_bytes))?;
                     if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
                         return Err(DbError::Codec("str offsets not monotone"));
                     }
-                    let arena_len = offsets[rows] as usize;
-                    if buf.remaining() < arena_len {
-                        return Err(DbError::Codec("str arena truncated"));
-                    }
-                    let mut bytes = vec![0u8; arena_len];
-                    buf.copy_to_slice(&mut bytes);
-                    let arena =
-                        String::from_utf8(bytes).map_err(|_| DbError::Codec("str not utf-8"))?;
+                    let arena = buf.read_str(offsets[rows] as usize, "str not utf-8")?;
                     if offsets.iter().any(|&o| !arena.is_char_boundary(o as usize)) {
                         return Err(DbError::Codec("str offset splits a character"));
                     }
@@ -2027,15 +1986,14 @@ impl ColumnBatch {
         Ok(ColumnBatch { columns, rows })
     }
 
-    /// Decodes from a standalone buffer.
+    /// Decodes a standalone frame holding exactly one batch.
     pub fn decode(bytes: &Bytes) -> DbResult<ColumnBatch> {
-        let mut buf = bytes.clone();
-        Self::decode_from(&mut buf)
+        wire::decode_exact(bytes, Self::decode_from)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::schema::ColumnDef;
 
@@ -2051,6 +2009,28 @@ mod tests {
             .unwrap();
         b.push_row(&[Value::Null, Value::Float(2.5), Value::Null])
             .unwrap();
+        b
+    }
+
+    /// Four nullable columns over ten rows, so every null bitmap spans two
+    /// bytes. The scan codec tests use it too.
+    pub(crate) fn wide_sample() -> ColumnBatch {
+        let mut b =
+            ColumnBatch::new(&[DataType::Int, DataType::Float, DataType::Str, DataType::Int]);
+        for i in 0..10i64 {
+            let null_at = (i % 4) as usize;
+            let row: Vec<Value> = [
+                Value::Int(i * 1_000 - 4_000),
+                Value::Float(i as f64 / 4.0),
+                Value::str("x".repeat(i as usize)),
+                Value::Int(-i),
+            ]
+            .into_iter()
+            .enumerate()
+            .map(|(c, v)| if c == null_at { Value::Null } else { v })
+            .collect();
+            b.push_row(&row).unwrap();
+        }
         b
     }
 
@@ -2098,29 +2078,38 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let b = sample();
-        let enc = b.encode();
-        assert_eq!(ColumnBatch::decode(&enc).unwrap(), b);
+        wire::assert_codec_contract(
+            &[b.clone(), wide_sample()],
+            ColumnBatch::encode,
+            ColumnBatch::decode,
+        );
         // The modeled size upper-bounds the encoding closely.
+        let enc = b.encode();
         assert!(enc.len() <= b.bytes() + 8, "{} vs {}", enc.len(), b.bytes());
     }
 
     #[test]
     fn empty_batch_roundtrip() {
-        let b = ColumnBatch::new(&types());
-        assert_eq!(ColumnBatch::decode(&b.encode()).unwrap(), b);
-        let none = ColumnBatch::new(&[]);
-        assert_eq!(ColumnBatch::decode(&none.encode()).unwrap(), none);
+        let empties = [ColumnBatch::new(&types()), ColumnBatch::new(&[])];
+        wire::assert_codec_contract(&empties, ColumnBatch::encode, ColumnBatch::decode);
     }
 
     #[test]
     fn decode_rejects_truncation() {
-        let enc = sample().encode();
-        for cut in 0..enc.len() {
-            assert!(
-                ColumnBatch::decode(&enc.slice(0..cut)).is_err(),
-                "decode must fail at cut {cut}"
-            );
-        }
+        // Cut inside the first int value: the reader's truncation error.
+        assert_eq!(
+            ColumnBatch::decode(&sample().encode().slice(0..12)),
+            Err(DbError::Codec(wire::TRUNCATED))
+        );
+        // A 6-byte header claiming 65 535 columns fails on the count,
+        // before anything is reserved for them.
+        let mut buf = BytesMut::new();
+        buf.put_u32(1);
+        buf.put_u16(u16::MAX);
+        assert_eq!(
+            ColumnBatch::decode(&buf.freeze()),
+            Err(DbError::Codec("column count exceeds payload"))
+        );
     }
 
     #[test]
@@ -2348,17 +2337,7 @@ mod tests {
                 }]),
             ]),
         ];
-        for p in preds {
-            let enc = p.encode();
-            assert_eq!(ColPredicate::decode(&enc).unwrap(), p, "{p:?}");
-            // Every strict prefix must be rejected.
-            for cut in 0..enc.len() {
-                assert!(
-                    ColPredicate::decode(&enc.slice(0..cut)).is_err(),
-                    "{p:?} decoded at cut {cut}"
-                );
-            }
-        }
+        wire::assert_codec_contract(&preds, ColPredicate::encode, ColPredicate::decode);
     }
 
     #[test]
@@ -2392,13 +2371,13 @@ mod tests {
             ColPredicate::decode(&buf.freeze()),
             Err(DbError::Codec("str-prefix not utf-8"))
         );
-        // Trailing garbage after a valid predicate.
+        // An `And` claiming 65 535 children with none behind it.
         let mut buf = BytesMut::new();
-        ColPredicate::IntGe { col: 0, min: 1 }.encode_into(&mut buf);
-        buf.put_u8(0);
+        buf.put_u8(PRED_AND);
+        buf.put_u16(u16::MAX);
         assert_eq!(
             ColPredicate::decode(&buf.freeze()),
-            Err(DbError::Codec("trailing bytes after predicate"))
+            Err(DbError::Codec("and predicate count exceeds payload"))
         );
     }
 

@@ -21,16 +21,16 @@
 //!   `CatchupFrom` in [`crate::repl`], retransmission *is* the recovery
 //!   protocol — there is no separate repair path.
 //!
-//! Decoding is hardened exactly like the scan and repl codecs: every
-//! truncation, unknown tag, malformed bool byte, count header exceeding
-//! the payload, or unconsumed trailing byte is a [`DbError::Codec`] —
-//! a torn frame off a faulty link must never panic a shard node.
+//! Decoding follows the wire contract of [`crate::wire`]: a torn frame
+//! off a faulty link is a [`DbError::Codec`], never a panic of a shard
+//! node.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::{DbError, DbResult};
 use crate::ids::{TableId, TxnId};
 use crate::tuple::Tuple;
+use crate::wire::{self, WireRead};
 
 /// Message tag of an encoded [`CommitMsg::Prepare`].
 pub const MSG_COMMIT_PREPARE: u8 = 0xC1;
@@ -68,12 +68,10 @@ impl PrepOp {
 
     /// Decodes one staged op, advancing `buf`.
     pub fn decode_from(buf: &mut impl Buf) -> DbResult<PrepOp> {
-        if buf.remaining() < Self::MIN_WIRE_SIZE {
-            return Err(DbError::Codec("prep op truncated"));
-        }
-        let table = TableId(buf.get_u32());
-        let tuple = Tuple::decode_from(buf)?;
-        Ok(PrepOp { table, tuple })
+        Ok(PrepOp {
+            table: TableId(buf.read_u32()?),
+            tuple: Tuple::decode_from(buf)?,
+        })
     }
 }
 
@@ -90,27 +88,13 @@ pub fn encode_prep_ops_into(ops: &[PrepOp], buf: &mut BytesMut) {
 /// The count header is bounded by the bytes actually present before any
 /// allocation happens.
 pub fn decode_prep_ops_from(buf: &mut impl Buf) -> DbResult<Vec<PrepOp>> {
-    if buf.remaining() < 4 {
-        return Err(DbError::Codec("prep op count truncated"));
-    }
-    let n = buf.get_u32() as usize;
-    if n > buf.remaining() / PrepOp::MIN_WIRE_SIZE {
-        return Err(DbError::Codec("prep op count exceeds payload"));
-    }
+    let n = buf.read_u32()?;
+    let n = buf.count(n, PrepOp::MIN_WIRE_SIZE, "prep op count exceeds payload")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(PrepOp::decode_from(buf)?);
     }
     Ok(out)
-}
-
-/// Decodes one strict bool byte (0 or 1; anything else is corruption).
-fn decode_bool(buf: &mut impl Buf, what: &'static str) -> DbResult<bool> {
-    match buf.get_u8() {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(DbError::Codec(what)),
-    }
 }
 
 /// One two-phase-commit protocol message. See the module docs for who
@@ -192,59 +176,36 @@ impl CommitMsg {
 
     /// Encodes into a fresh buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.encode_into(&mut buf);
-        buf.freeze()
+        wire::encode(0, |buf| self.encode_into(buf))
     }
 
     /// Decodes one message, advancing `buf` past the consumed bytes.
     pub fn decode_from(buf: &mut impl Buf) -> DbResult<CommitMsg> {
-        if buf.remaining() < 1 {
-            return Err(DbError::Codec("commit message truncated"));
-        }
-        let tag = buf.get_u8();
-        if buf.remaining() < 8 {
-            return Err(DbError::Codec("commit txn id truncated"));
-        }
-        let txn = TxnId(buf.get_u64());
+        let tag = buf.read_u8()?;
+        let txn = TxnId(buf.read_u64()?);
         match tag {
-            MSG_COMMIT_PREPARE => {
-                if buf.remaining() < 4 {
-                    return Err(DbError::Codec("commit prepare truncated"));
-                }
-                let coord = buf.get_u32();
-                let ops = decode_prep_ops_from(buf)?;
-                Ok(CommitMsg::Prepare { txn, coord, ops })
-            }
-            MSG_COMMIT_VOTE => {
-                if buf.remaining() < 1 {
-                    return Err(DbError::Codec("commit vote truncated"));
-                }
-                let yes = decode_bool(buf, "commit vote flag corrupt")?;
-                Ok(CommitMsg::Vote { txn, yes })
-            }
-            MSG_COMMIT_DECIDE => {
-                if buf.remaining() < 1 {
-                    return Err(DbError::Codec("commit decide truncated"));
-                }
-                let commit = decode_bool(buf, "commit decide flag corrupt")?;
-                Ok(CommitMsg::Decide { txn, commit })
-            }
+            MSG_COMMIT_PREPARE => Ok(CommitMsg::Prepare {
+                txn,
+                coord: buf.read_u32()?,
+                ops: decode_prep_ops_from(buf)?,
+            }),
+            MSG_COMMIT_VOTE => Ok(CommitMsg::Vote {
+                txn,
+                yes: buf.read_bool("commit vote flag corrupt")?,
+            }),
+            MSG_COMMIT_DECIDE => Ok(CommitMsg::Decide {
+                txn,
+                commit: buf.read_bool("commit decide flag corrupt")?,
+            }),
             MSG_COMMIT_DECIDE_ACK => Ok(CommitMsg::DecideAck { txn }),
             MSG_COMMIT_DECIDE_QUERY => Ok(CommitMsg::DecideQuery { txn }),
             _ => Err(DbError::Codec("unknown commit message tag")),
         }
     }
 
-    /// Decodes from a standalone frame (must be fully consumed — a frame
-    /// is exactly one message).
+    /// Decodes a standalone frame holding exactly one message.
     pub fn decode(bytes: &Bytes) -> DbResult<CommitMsg> {
-        let mut buf = bytes.clone();
-        let msg = Self::decode_from(&mut buf)?;
-        if buf.remaining() != 0 {
-            return Err(DbError::Codec("trailing bytes after commit message"));
-        }
-        Ok(msg)
+        wire::decode_exact(bytes, Self::decode_from)
     }
 }
 
@@ -301,23 +262,39 @@ mod tests {
 
     #[test]
     fn every_message_roundtrips() {
-        for msg in sample_msgs() {
-            let enc = msg.encode();
-            assert_eq!(CommitMsg::decode(&enc).unwrap(), msg);
-        }
+        wire::assert_codec_contract(&sample_msgs(), CommitMsg::encode, CommitMsg::decode);
     }
 
     #[test]
     fn every_strict_prefix_is_rejected() {
-        for msg in sample_msgs() {
-            let enc = msg.encode();
-            for cut in 0..enc.len() {
-                assert!(
-                    CommitMsg::decode(&enc.slice(0..cut)).is_err(),
-                    "prefix of {cut} bytes decoded for {msg:?}"
-                );
-            }
-        }
+        // Prepares staging one op of every value kind, and one op per table.
+        let one_each = PrepOp {
+            table: TableId(4),
+            tuple: Tuple::new(vec![
+                Value::Null,
+                Value::Int(-1),
+                Value::Float(0.5),
+                Value::str("ß"),
+            ]),
+        };
+        let prepares = [
+            CommitMsg::Prepare {
+                txn: TxnId(1),
+                coord: 3,
+                ops: vec![one_each],
+            },
+            CommitMsg::Prepare {
+                txn: TxnId(2),
+                coord: 0,
+                ops: (0..3)
+                    .map(|t| PrepOp {
+                        table: TableId(t),
+                        tuple: Tuple::empty(),
+                    })
+                    .collect(),
+            },
+        ];
+        wire::assert_codec_contract(&prepares, CommitMsg::encode, CommitMsg::decode);
     }
 
     #[test]
@@ -333,7 +310,7 @@ mod tests {
         trailing.push(0);
         assert_eq!(
             CommitMsg::decode(&Bytes::copy_from_slice(&trailing)),
-            Err(DbError::Codec("trailing bytes after commit message"))
+            Err(DbError::Codec(wire::TRAILING))
         );
     }
 

@@ -4,9 +4,9 @@
 //!
 //! * [`value`] — dynamically typed datums stored in tuples,
 //! * [`schema`] — table schemas and column metadata,
-//! * [`tuple`] — row representation plus a compact binary wire encoding
-//!   used by data streams,
-//! * [`column`] — columnar (struct-of-arrays) batches with pushdown
+//! * [`mod@tuple`] — row representation plus a compact binary wire
+//!   encoding used by data streams,
+//! * [`mod@column`] — columnar (struct-of-arrays) batches with pushdown
 //!   predicates and a one-tag-per-column wire encoding for OLAP streams,
 //! * [`rid`] — record identifiers (partition, slot),
 //! * [`scan`] — the remote scan wire protocol: pushed-down scan requests
@@ -15,10 +15,13 @@
 //!   them from a primary storage AC to its follower,
 //! * [`commit`] — the two-phase-commit wire protocol that makes
 //!   cross-shard transactions atomic over modeled links,
+//! * [`wire`] — the one checked reader every decoder of those protocols
+//!   goes through,
 //! * [`ids`] — strongly typed identifiers used across the system,
 //! * [`fxmap`] — FxHash-style fast hash maps for hot lookup paths,
 //! * [`dist`] — Zipfian / hot-spot / NURand distributions for workloads,
-//! * [`metrics`] — throughput counters and latency histograms,
+//! * [`metrics`] — event counters, counter snapshots and throughput
+//!   windows,
 //! * [`error`] — the common error type.
 //!
 //! The crate is dependency-light on purpose: everything downstream (storage,
@@ -38,6 +41,7 @@ pub mod scan;
 pub mod schema;
 pub mod tuple;
 pub mod value;
+pub mod wire;
 
 pub use column::{bitmap_ones, ColPredicate, Column, ColumnBatch, ColumnStore};
 pub use commit::{CommitMsg, PrepOp};

@@ -1,12 +1,14 @@
-//! Lightweight performance metrics: throughput counters and log-bucketed
-//! latency histograms.
+//! Lightweight performance metrics: event counters, flat counter
+//! snapshots, and throughput windows.
 //!
 //! The benchmark harnesses (Figures 1, 5, 6) read these to print the same
 //! series the paper reports. Everything is lock-free so that recording a
 //! commit from inside an AC's hot loop costs one relaxed atomic increment.
+//! Latency distributions are not kept here: the benchmark records exact
+//! samples, because power-of-two buckets cannot resolve a 10 % change.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A monotone event counter (e.g. committed transactions).
 #[derive(Debug, Default)]
@@ -43,93 +45,6 @@ impl Counter {
     /// Resets to zero, returning the previous value.
     pub fn take(&self) -> u64 {
         self.count.swap(0, Ordering::Relaxed)
-    }
-}
-
-/// Number of histogram buckets: bucket `i` holds samples in
-/// `[2^i, 2^(i+1))` nanoseconds; bucket 63 is the overflow bucket.
-const BUCKETS: usize = 64;
-
-/// A concurrent latency histogram with power-of-two nanosecond buckets.
-///
-/// Percentile queries are approximate (bucket upper bound) which is plenty
-/// for reporting benchmark latency distributions.
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    sum_ns: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// New empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one duration.
-    pub fn record(&self, d: Duration) {
-        let ns = d.as_nanos().min(u64::MAX as u128) as u64;
-        let bucket = if ns == 0 {
-            0
-        } else {
-            (63 - ns.leading_zeros() as usize).min(BUCKETS - 1)
-        };
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Total number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Mean latency, or zero if empty.
-    pub fn mean(&self) -> Duration {
-        let count = self.count();
-        if count == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos(self.sum_ns.load(Ordering::Relaxed) / count)
-    }
-
-    /// Approximate percentile (`p` in `[0, 100]`) as the upper bound of the
-    /// bucket containing the p-th sample.
-    pub fn percentile(&self, p: f64) -> Duration {
-        let count = self.count();
-        if count == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((p / 100.0) * count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                let upper = if i >= 63 { u64::MAX } else { 1u64 << (i + 1) };
-                return Duration::from_nanos(upper);
-            }
-        }
-        Duration::from_nanos(u64::MAX)
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Histogram(n={}, mean={:?}, p50={:?}, p99={:?})",
-            self.count(),
-            self.mean(),
-            self.percentile(50.0),
-            self.percentile(99.0)
-        )
     }
 }
 
@@ -351,6 +266,7 @@ impl ThroughputWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn counter_basics() {
@@ -360,41 +276,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         assert_eq!(c.take(), 5);
         assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn histogram_counts_and_mean() {
-        let h = Histogram::new();
-        h.record(Duration::from_nanos(100));
-        h.record(Duration::from_nanos(300));
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.mean(), Duration::from_nanos(200));
-    }
-
-    #[test]
-    fn histogram_percentiles_monotone() {
-        let h = Histogram::new();
-        for i in 1..=1000u64 {
-            h.record(Duration::from_nanos(i * 1000));
-        }
-        let p50 = h.percentile(50.0);
-        let p99 = h.percentile(99.0);
-        assert!(p50 <= p99);
-        assert!(p50 >= Duration::from_nanos(1000));
-    }
-
-    #[test]
-    fn histogram_empty_is_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.mean(), Duration::ZERO);
-        assert_eq!(h.percentile(99.0), Duration::ZERO);
-    }
-
-    #[test]
-    fn histogram_zero_duration_sample() {
-        let h = Histogram::new();
-        h.record(Duration::ZERO);
-        assert_eq!(h.count(), 1);
     }
 
     #[test]

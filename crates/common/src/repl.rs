@@ -20,9 +20,9 @@
 //!   LSN gap (a dropped batch on a lossy link) — retransmission *is* the
 //!   catch-up path, there is no separate repair protocol.
 //!
-//! Decoding is hardened the same way the scan codec is: every truncation,
-//! unknown tag, or unconsumed trailing byte is a [`DbError::Codec`] — a
-//! torn or corrupt frame off a faulty link must never panic a follower.
+//! Decoding follows the wire contract of [`crate::wire`]: a torn or
+//! corrupt frame off a faulty link is a [`DbError::Codec`], never a
+//! panic of the follower.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -31,6 +31,7 @@ use crate::error::{DbError, DbResult};
 use crate::ids::{PartitionId, TableId, TxnId};
 use crate::rid::Rid;
 use crate::tuple::Tuple;
+use crate::wire::{self, WireRead};
 
 /// Message tag of an encoded [`ReplMsg::Records`].
 pub const MSG_REPL_RECORDS: u8 = 0xB1;
@@ -167,63 +168,34 @@ impl LogRecord {
     /// tags are [`DbError::Codec`] — a shipped batch must be rejectable
     /// without panicking, whatever bytes a faulty link delivers.
     pub fn decode_from(buf: &mut impl Buf) -> DbResult<LogRecord> {
-        if buf.remaining() < Self::MIN_WIRE_SIZE {
-            return Err(DbError::Codec("log record header truncated"));
-        }
-        let lsn = buf.get_u64();
-        let txn = TxnId(buf.get_u64());
-        let op = match buf.get_u8() {
-            OP_INSERT => {
-                if buf.remaining() < 12 {
-                    return Err(DbError::Codec("log insert truncated"));
-                }
-                let table = TableId(buf.get_u32());
-                let partition = PartitionId(buf.get_u32());
-                let slot = buf.get_u32();
-                let tuple = Tuple::decode_from(buf)?;
-                LogOp::Insert {
-                    table,
-                    partition,
-                    slot,
-                    tuple,
-                }
-            }
-            OP_UPDATE => {
-                if buf.remaining() < 12 {
-                    return Err(DbError::Codec("log update truncated"));
-                }
-                let rid = Rid::new(
-                    TableId(buf.get_u32()),
-                    PartitionId(buf.get_u32()),
-                    buf.get_u32(),
-                );
-                let after = Tuple::decode_from(buf)?;
-                LogOp::Update { rid, after }
-            }
+        let lsn = buf.read_u64()?;
+        let txn = TxnId(buf.read_u64()?);
+        let op = match buf.read_u8()? {
+            OP_INSERT => LogOp::Insert {
+                table: TableId(buf.read_u32()?),
+                partition: PartitionId(buf.read_u32()?),
+                slot: buf.read_u32()?,
+                tuple: Tuple::decode_from(buf)?,
+            },
+            OP_UPDATE => LogOp::Update {
+                rid: Rid::new(
+                    TableId(buf.read_u32()?),
+                    PartitionId(buf.read_u32()?),
+                    buf.read_u32()?,
+                ),
+                after: Tuple::decode_from(buf)?,
+            },
             OP_COMMIT => LogOp::Commit,
             OP_ABORT => LogOp::Abort,
-            OP_PREPARE => {
-                if buf.remaining() < 4 {
-                    return Err(DbError::Codec("log prepare truncated"));
-                }
-                let coord = buf.get_u32();
-                let ops = decode_prep_ops_from(buf)?;
-                LogOp::Prepare { coord, ops }
-            }
+            OP_PREPARE => LogOp::Prepare {
+                coord: buf.read_u32()?,
+                ops: decode_prep_ops_from(buf)?,
+            },
             OP_DECIDE => {
-                if buf.remaining() < 5 {
-                    return Err(DbError::Codec("log decide truncated"));
-                }
-                let commit = match buf.get_u8() {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(DbError::Codec("log decide flag corrupt")),
-                };
-                let n = buf.get_u32() as usize;
-                if n > buf.remaining() / 4 {
-                    return Err(DbError::Codec("log decide count exceeds payload"));
-                }
-                let parts = (0..n).map(|_| buf.get_u32()).collect();
+                let commit = buf.read_bool("log decide flag corrupt")?;
+                let n = buf.read_u32()?;
+                let n = buf.count(n, 4, "log decide count exceeds payload")?;
+                let parts = (0..n).map(|_| buf.read_u32()).collect::<DbResult<_>>()?;
                 LogOp::Decide { commit, parts }
             }
             _ => return Err(DbError::Codec("unknown log op tag")),
@@ -247,13 +219,8 @@ pub fn encode_records_into(records: &[LogRecord], buf: &mut BytesMut) {
 /// present before any allocation, so a corrupt header claiming 2^60
 /// records is a [`DbError::Codec`], not an abort.
 pub fn decode_records_from(buf: &mut impl Buf) -> DbResult<Vec<LogRecord>> {
-    if buf.remaining() < 8 {
-        return Err(DbError::Codec("log header truncated"));
-    }
-    let n = buf.get_u64() as usize;
-    if n > buf.remaining() / LogRecord::MIN_WIRE_SIZE {
-        return Err(DbError::Codec("log count exceeds payload"));
-    }
+    let n = buf.read_u64()?;
+    let n = buf.count(n, LogRecord::MIN_WIRE_SIZE, "log count exceeds payload")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(LogRecord::decode_from(buf)?);
@@ -318,52 +285,30 @@ impl ReplMsg {
 
     /// Encodes into a fresh buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.encode_into(&mut buf);
-        buf.freeze()
+        wire::encode(0, |buf| self.encode_into(buf))
     }
 
     /// Decodes one message, advancing `buf` past the consumed bytes.
     pub fn decode_from(buf: &mut impl Buf) -> DbResult<ReplMsg> {
-        if buf.remaining() < 1 {
-            return Err(DbError::Codec("repl message truncated"));
-        }
-        match buf.get_u8() {
+        match buf.read_u8()? {
             MSG_REPL_RECORDS => Ok(ReplMsg::Records(decode_records_from(buf)?)),
-            MSG_REPL_ACK => {
-                if buf.remaining() < 8 {
-                    return Err(DbError::Codec("repl ack truncated"));
-                }
-                Ok(ReplMsg::Ack { lsn: buf.get_u64() })
-            }
-            MSG_REPL_HEARTBEAT => {
-                if buf.remaining() < 16 {
-                    return Err(DbError::Codec("repl heartbeat truncated"));
-                }
-                Ok(ReplMsg::Heartbeat {
-                    term: buf.get_u64(),
-                    next_lsn: buf.get_u64(),
-                })
-            }
-            MSG_REPL_CATCHUP => {
-                if buf.remaining() < 8 {
-                    return Err(DbError::Codec("repl catchup truncated"));
-                }
-                Ok(ReplMsg::CatchupFrom { lsn: buf.get_u64() })
-            }
+            MSG_REPL_ACK => Ok(ReplMsg::Ack {
+                lsn: buf.read_u64()?,
+            }),
+            MSG_REPL_HEARTBEAT => Ok(ReplMsg::Heartbeat {
+                term: buf.read_u64()?,
+                next_lsn: buf.read_u64()?,
+            }),
+            MSG_REPL_CATCHUP => Ok(ReplMsg::CatchupFrom {
+                lsn: buf.read_u64()?,
+            }),
             _ => Err(DbError::Codec("unknown repl message tag")),
         }
     }
 
-    /// Decodes from a standalone frame (must be fully consumed — a frame
-    /// is exactly one message).
+    /// Decodes a standalone frame holding exactly one message.
     pub fn decode(bytes: &Bytes) -> DbResult<ReplMsg> {
-        let mut buf = bytes.clone();
-        let msg = Self::decode_from(&mut buf)?;
-        if buf.remaining() != 0 {
-            return Err(DbError::Codec("trailing bytes after repl message"));
-        }
-        Ok(msg)
+        wire::decode_exact(bytes, Self::decode_from)
     }
 }
 
@@ -427,7 +372,6 @@ mod tests {
     #[test]
     fn every_message_roundtrips() {
         let msgs = [
-            ReplMsg::Records(sample_records()),
             ReplMsg::Records(Vec::new()),
             ReplMsg::Ack { lsn: 99 },
             ReplMsg::Heartbeat {
@@ -436,21 +380,14 @@ mod tests {
             },
             ReplMsg::CatchupFrom { lsn: 14 },
         ];
-        for msg in msgs {
-            let enc = msg.encode();
-            assert_eq!(ReplMsg::decode(&enc).unwrap(), msg);
-        }
+        wire::assert_codec_contract(&msgs, ReplMsg::encode, ReplMsg::decode);
     }
 
     #[test]
     fn every_strict_prefix_is_rejected() {
-        let enc = ReplMsg::Records(sample_records()).encode();
-        for cut in 0..enc.len() {
-            assert!(
-                ReplMsg::decode(&enc.slice(0..cut)).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
-        }
+        // One batch holding every op kind: prefixes cut into every body.
+        let batch = ReplMsg::Records(sample_records());
+        wire::assert_codec_contract(&[batch], ReplMsg::encode, ReplMsg::decode);
     }
 
     #[test]
@@ -464,7 +401,10 @@ mod tests {
         );
         let mut trailing = enc.chunk().to_vec();
         trailing.push(0);
-        assert!(ReplMsg::decode(&Bytes::copy_from_slice(&trailing)).is_err());
+        assert_eq!(
+            ReplMsg::decode(&Bytes::copy_from_slice(&trailing)),
+            Err(DbError::Codec(wire::TRAILING))
+        );
     }
 
     #[test]

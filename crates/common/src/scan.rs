@@ -22,6 +22,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crate::column::{ColPredicate, ColumnBatch};
 use crate::error::{DbError, DbResult};
 use crate::ids::PartitionId;
+use crate::wire::{self, WireRead};
 
 /// Message tag of an encoded [`ScanRequest`]. Deliberately outside the
 /// predicate (1..=4) and column (1..=3) tag ranges so a frame can never
@@ -102,10 +103,8 @@ impl ScanSnapshot {
         self.cols_epoch_start == self.cols_epoch_end
     }
 
-    /// Fixed wire size: seven u64 fields, no framing of its own (the
-    /// enclosing message provides the tag).
-    pub const WIRE_SIZE: usize = 7 * 8;
-
+    /// Seven u64 fields, no framing of its own (the enclosing message
+    /// provides the tag).
     fn encode_into(&self, buf: &mut BytesMut) {
         buf.put_u64(self.prefix as u64);
         buf.put_u64(self.matched as u64);
@@ -117,17 +116,14 @@ impl ScanSnapshot {
     }
 
     fn decode_from(buf: &mut impl Buf) -> DbResult<ScanSnapshot> {
-        if buf.remaining() < Self::WIRE_SIZE {
-            return Err(DbError::Codec("scan snapshot truncated"));
-        }
         Ok(ScanSnapshot {
-            prefix: buf.get_u64() as usize,
-            matched: buf.get_u64() as usize,
-            epoch_start: buf.get_u64(),
-            epoch_end: buf.get_u64(),
-            cols_epoch_start: buf.get_u64(),
-            cols_epoch_end: buf.get_u64(),
-            max_version: buf.get_u64(),
+            prefix: buf.read_u64()? as usize,
+            matched: buf.read_u64()? as usize,
+            epoch_start: buf.read_u64()?,
+            epoch_end: buf.read_u64()?,
+            cols_epoch_start: buf.read_u64()?,
+            cols_epoch_end: buf.read_u64()?,
+            max_version: buf.read_u64()?,
         })
     }
 }
@@ -191,42 +187,31 @@ impl ScanRequest {
 
     /// Encodes into a fresh buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.encode_into(&mut buf);
-        buf.freeze()
+        wire::encode(0, |buf| self.encode_into(buf))
     }
 
     /// Decodes one request, advancing `buf` past the consumed bytes.
     /// Rejects truncation, a wrong message tag, and unknown flag bits
     /// (a future field this decoder would silently mis-frame).
     pub fn decode_from(buf: &mut impl Buf) -> DbResult<ScanRequest> {
-        if buf.remaining() < 2 {
-            return Err(DbError::Codec("scan request header truncated"));
-        }
-        if buf.get_u8() != MSG_SCAN_REQUEST {
+        if buf.read_u8()? != MSG_SCAN_REQUEST {
             return Err(DbError::Codec("not a scan request"));
         }
-        let flags = buf.get_u8();
+        let flags = buf.read_u8()?;
         if flags & !FLAG_MASK != 0 {
             return Err(DbError::Codec("unknown scan request flags"));
         }
         let partition = if flags & FLAG_PARTITION != 0 {
-            if buf.remaining() < 4 {
-                return Err(DbError::Codec("scan request partition truncated"));
-            }
-            Some(PartitionId(buf.get_u32()))
+            Some(PartitionId(buf.read_u32()?))
         } else {
             None
         };
-        if buf.remaining() < 4 + 2 {
-            return Err(DbError::Codec("scan request header truncated"));
-        }
-        let batch_rows = buf.get_u32() as usize;
-        let nproj = buf.get_u16() as usize;
-        if buf.remaining() < nproj * 4 {
-            return Err(DbError::Codec("scan request projection truncated"));
-        }
-        let proj = (0..nproj).map(|_| buf.get_u32() as usize).collect();
+        let batch_rows = buf.read_u32()? as usize;
+        let nproj = buf.read_u16()?;
+        let nproj = buf.count(nproj, 4, "scan request projection count exceeds payload")?;
+        let proj = (0..nproj)
+            .map(|_| Ok(buf.read_u32()? as usize))
+            .collect::<DbResult<_>>()?;
         let pred = if flags & FLAG_PRED != 0 {
             Some(ColPredicate::decode_from(buf)?)
         } else {
@@ -241,14 +226,9 @@ impl ScanRequest {
         })
     }
 
-    /// Decodes from a standalone buffer (must be fully consumed).
+    /// Decodes a standalone frame holding exactly one request.
     pub fn decode(bytes: &Bytes) -> DbResult<ScanRequest> {
-        let mut buf = bytes.clone();
-        let req = Self::decode_from(&mut buf)?;
-        if buf.remaining() != 0 {
-            return Err(DbError::Codec("trailing bytes after scan request"));
-        }
-        Ok(req)
+        wire::decode_exact(bytes, Self::decode_from)
     }
 }
 
@@ -281,39 +261,24 @@ impl ScanReply {
 
     /// Encodes into a fresh buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.encode_into(&mut buf);
-        buf.freeze()
+        wire::encode(0, |buf| self.encode_into(buf))
     }
 
     /// Decodes one reply, advancing `buf` past the consumed bytes.
     pub fn decode_from(buf: &mut impl Buf) -> DbResult<ScanReply> {
-        if buf.remaining() < 1 + 4 {
-            return Err(DbError::Codec("scan reply header truncated"));
-        }
-        if buf.get_u8() != MSG_SCAN_REPLY {
+        if buf.read_u8()? != MSG_SCAN_REPLY {
             return Err(DbError::Codec("not a scan reply"));
         }
-        let partition = PartitionId(buf.get_u32());
-        let snapshot = ScanSnapshot::decode_from(buf)?;
-        let batch = ColumnBatch::decode_from(buf)?;
         Ok(ScanReply {
-            partition,
-            snapshot,
-            batch,
+            partition: PartitionId(buf.read_u32()?),
+            snapshot: ScanSnapshot::decode_from(buf)?,
+            batch: ColumnBatch::decode_from(buf)?,
         })
     }
 
-    /// Decodes from a standalone buffer (must be fully consumed —
-    /// stricter than [`ColumnBatch::decode`], because a reply frame is
-    /// exactly one message).
+    /// Decodes a standalone frame holding exactly one reply.
     pub fn decode(bytes: &Bytes) -> DbResult<ScanReply> {
-        let mut buf = bytes.clone();
-        let reply = Self::decode_from(&mut buf)?;
-        if buf.remaining() != 0 {
-            return Err(DbError::Codec("trailing bytes after scan reply"));
-        }
-        Ok(reply)
+        wire::decode_exact(bytes, Self::decode_from)
     }
 }
 
@@ -346,38 +311,22 @@ impl ScanError {
 
     /// Encodes into a fresh buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.encode_into(&mut buf);
-        buf.freeze()
+        wire::encode(0, |buf| self.encode_into(buf))
     }
 
     /// Decodes one error reply, advancing `buf`.
     pub fn decode_from(buf: &mut impl Buf) -> DbResult<ScanError> {
-        if buf.remaining() < 1 + 2 {
-            return Err(DbError::Codec("scan error header truncated"));
-        }
-        if buf.get_u8() != MSG_SCAN_ERROR {
+        if buf.read_u8()? != MSG_SCAN_ERROR {
             return Err(DbError::Codec("not a scan error"));
         }
-        let len = buf.get_u16() as usize;
-        if buf.remaining() < len {
-            return Err(DbError::Codec("scan error reason truncated"));
-        }
-        let mut bytes = vec![0u8; len];
-        buf.copy_to_slice(&mut bytes);
-        let reason =
-            String::from_utf8(bytes).map_err(|_| DbError::Codec("scan error reason not utf-8"))?;
+        let len = buf.read_u16()?;
+        let reason = buf.read_str(len.into(), "scan error reason not utf-8")?;
         Ok(ScanError { reason })
     }
 
-    /// Decodes from a standalone frame (must be fully consumed).
+    /// Decodes a standalone frame holding exactly one error reply.
     pub fn decode(bytes: &Bytes) -> DbResult<ScanError> {
-        let mut buf = bytes.clone();
-        let err = Self::decode_from(&mut buf)?;
-        if buf.remaining() != 0 {
-            return Err(DbError::Codec("trailing bytes after scan error"));
-        }
-        Ok(err)
+        wire::decode_exact(bytes, Self::decode_from)
     }
 }
 
@@ -435,10 +384,7 @@ mod tests {
                 shared: true,
             },
         ];
-        for req in reqs {
-            let enc = req.encode();
-            assert_eq!(ScanRequest::decode(&enc).unwrap(), req);
-        }
+        wire::assert_codec_contract(&reqs, ScanRequest::encode, ScanRequest::decode);
     }
 
     #[test]
@@ -451,15 +397,23 @@ mod tests {
             shared: false,
         };
         let enc = req.encode();
-        let mut bad_tag = enc.chunk().to_vec();
-        bad_tag[0] = MSG_SCAN_REPLY;
-        assert!(ScanRequest::decode(&Bytes::copy_from_slice(&bad_tag)).is_err());
-        let mut bad_flags = enc.chunk().to_vec();
-        bad_flags[1] |= 1 << 6;
-        assert!(ScanRequest::decode(&Bytes::copy_from_slice(&bad_flags)).is_err());
-        let mut trailing = enc.chunk().to_vec();
-        trailing.push(0);
-        assert!(ScanRequest::decode(&Bytes::copy_from_slice(&trailing)).is_err());
+        let decode_with = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut frame = enc.chunk().to_vec();
+            edit(&mut frame);
+            ScanRequest::decode(&Bytes::copy_from_slice(&frame))
+        };
+        assert_eq!(
+            decode_with(&|f| f[0] = MSG_SCAN_REPLY),
+            Err(DbError::Codec("not a scan request"))
+        );
+        assert_eq!(
+            decode_with(&|f| f[1] |= 1 << 6),
+            Err(DbError::Codec("unknown scan request flags"))
+        );
+        assert_eq!(
+            decode_with(&|f| f.push(0)),
+            Err(DbError::Codec(wire::TRAILING))
+        );
     }
 
     #[test]
@@ -475,24 +429,22 @@ mod tests {
             batch_rows: 64,
             shared: true,
         };
-        let enc = req.encode();
-        for cut in 0..enc.len() {
-            assert!(
-                ScanRequest::decode(&enc.slice(0..cut)).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
-        }
+        wire::assert_codec_contract(&[req], ScanRequest::encode, ScanRequest::decode);
     }
 
     #[test]
     fn reply_roundtrips() {
-        let reply = ScanReply {
+        let reply = |batch| ScanReply {
             partition: PartitionId(3),
             snapshot: sample_snapshot(),
-            batch: sample_batch(),
+            batch,
         };
-        let enc = reply.encode();
-        assert_eq!(ScanReply::decode(&enc).unwrap(), reply);
+        let replies = [
+            reply(sample_batch()),
+            reply(ColumnBatch::new(&[DataType::Int])),
+            reply(crate::column::tests::wide_sample()),
+        ];
+        wire::assert_codec_contract(&replies, ScanReply::encode, ScanReply::decode);
     }
 
     #[test]
@@ -502,38 +454,33 @@ mod tests {
             snapshot: sample_snapshot(),
             batch: sample_batch(),
         };
-        let enc = reply.encode();
-        for cut in 0..enc.len() {
-            assert!(
-                ScanReply::decode(&enc.slice(0..cut)).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
-        }
-        let mut bad_tag = enc.chunk().to_vec();
+        wire::assert_codec_contract(
+            std::slice::from_ref(&reply),
+            ScanReply::encode,
+            ScanReply::decode,
+        );
+        let mut bad_tag = reply.encode().chunk().to_vec();
         bad_tag[0] = MSG_SCAN_REQUEST;
-        assert!(ScanReply::decode(&Bytes::copy_from_slice(&bad_tag)).is_err());
-        let mut trailing = enc.chunk().to_vec();
-        trailing.push(0);
-        assert!(ScanReply::decode(&Bytes::copy_from_slice(&trailing)).is_err());
+        assert_eq!(
+            ScanReply::decode(&Bytes::copy_from_slice(&bad_tag)),
+            Err(DbError::Codec("not a scan reply"))
+        );
     }
 
     #[test]
     fn scan_error_roundtrips_and_rejects_prefixes() {
         let err = ScanError::new(DbError::Codec("unknown scan request flags"));
-        let enc = err.encode();
-        assert_eq!(ScanError::decode(&enc).unwrap(), err);
-        for cut in 0..enc.len() {
-            assert!(
-                ScanError::decode(&enc.slice(0..cut)).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
-        }
-        let mut bad_tag = enc.chunk().to_vec();
+        wire::assert_codec_contract(
+            std::slice::from_ref(&err),
+            ScanError::encode,
+            ScanError::decode,
+        );
+        let mut bad_tag = err.encode().chunk().to_vec();
         bad_tag[0] = MSG_SCAN_REPLY;
-        assert!(ScanError::decode(&Bytes::copy_from_slice(&bad_tag)).is_err());
-        let mut trailing = enc.chunk().to_vec();
-        trailing.push(0);
-        assert!(ScanError::decode(&Bytes::copy_from_slice(&trailing)).is_err());
+        assert_eq!(
+            ScanError::decode(&Bytes::copy_from_slice(&bad_tag)),
+            Err(DbError::Codec("not a scan error"))
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::{DbError, DbResult};
 use crate::value::Value;
+use crate::wire::{self, WireRead};
 
 /// Wire tags for the tuple encoding.
 const TAG_NULL: u8 = 0;
@@ -123,62 +124,33 @@ impl Tuple {
 
     /// Encodes the tuple into a fresh buffer.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_size());
-        self.encode_into(&mut buf);
-        buf.freeze()
+        wire::encode(self.wire_size(), |buf| self.encode_into(buf))
     }
 
     /// Decodes one tuple from `buf`, advancing it past the consumed bytes.
     pub fn decode_from(buf: &mut impl Buf) -> DbResult<Tuple> {
-        if buf.remaining() < 2 {
-            return Err(DbError::Codec("tuple header truncated"));
-        }
-        let arity = buf.get_u16() as usize;
+        let arity = buf.read_u16()?;
+        // Every value is at least its tag byte.
+        let arity = buf.count(arity, 1, "tuple arity exceeds payload")?;
         let mut values = Vec::with_capacity(arity);
         for _ in 0..arity {
-            if buf.remaining() < 1 {
-                return Err(DbError::Codec("value tag truncated"));
-            }
-            let tag = buf.get_u8();
-            let v = match tag {
+            values.push(match buf.read_u8()? {
                 TAG_NULL => Value::Null,
-                TAG_INT => {
-                    if buf.remaining() < 8 {
-                        return Err(DbError::Codec("int truncated"));
-                    }
-                    Value::Int(buf.get_i64())
-                }
-                TAG_FLOAT => {
-                    if buf.remaining() < 8 {
-                        return Err(DbError::Codec("float truncated"));
-                    }
-                    Value::Float(buf.get_f64())
-                }
+                TAG_INT => Value::Int(buf.read_i64()?),
+                TAG_FLOAT => Value::Float(buf.read_f64()?),
                 TAG_STR => {
-                    if buf.remaining() < 4 {
-                        return Err(DbError::Codec("str len truncated"));
-                    }
-                    let len = buf.get_u32() as usize;
-                    if buf.remaining() < len {
-                        return Err(DbError::Codec("str body truncated"));
-                    }
-                    let mut bytes = vec![0u8; len];
-                    buf.copy_to_slice(&mut bytes);
-                    let s =
-                        String::from_utf8(bytes).map_err(|_| DbError::Codec("str not utf-8"))?;
-                    Value::from(s)
+                    let len = buf.read_u32()? as usize;
+                    Value::from(buf.read_str(len, "str not utf-8")?)
                 }
                 _ => return Err(DbError::Codec("unknown value tag")),
-            };
-            values.push(v);
+            });
         }
         Ok(Tuple::new(values))
     }
 
-    /// Decodes a tuple from a standalone buffer.
+    /// Decodes a standalone frame holding exactly one tuple.
     pub fn decode(bytes: &Bytes) -> DbResult<Tuple> {
-        let mut buf = bytes.clone();
-        Self::decode_from(&mut buf)
+        wire::decode_exact(bytes, Self::decode_from)
     }
 }
 
@@ -209,15 +181,13 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip() {
-        let t = sample();
-        let enc = t.encode();
-        assert_eq!(Tuple::decode(&enc).unwrap(), t);
+        let samples = [sample(), Tuple::new(vec![Value::str("ß漢")])];
+        wire::assert_codec_contract(&samples, Tuple::encode, Tuple::decode);
     }
 
     #[test]
     fn empty_tuple_roundtrip() {
-        let t = Tuple::empty();
-        assert_eq!(Tuple::decode(&t.encode()).unwrap(), t);
+        wire::assert_codec_contract(&[Tuple::empty()], Tuple::encode, Tuple::decode);
     }
 
     #[test]
@@ -235,15 +205,17 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation() {
-        let t = sample();
-        let enc = t.encode();
-        for cut in 0..enc.len() {
-            let truncated = enc.slice(0..cut);
-            assert!(
-                Tuple::decode(&truncated).is_err(),
-                "decode must fail at cut {cut}"
-            );
-        }
+        // Cut inside the int value: the reader's truncation error.
+        assert_eq!(
+            Tuple::decode(&sample().encode().slice(0..8)),
+            Err(DbError::Codec(wire::TRUNCATED))
+        );
+        // A header claiming 65 535 values with none behind it fails on the
+        // count, before anything is allocated for them.
+        assert_eq!(
+            Tuple::decode(&Bytes::copy_from_slice(&[0xFF, 0xFF])),
+            Err(DbError::Codec("tuple arity exceeds payload"))
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for distributions, metrics, and the codec substrate.
 
 use anydb_common::dist::{HotSpot, NuRand, Zipf};
-use anydb_common::metrics::Histogram;
+use anydb_common::wire::assert_codec_contract;
 use anydb_common::{ColumnBatch, DataType, Rid, Tuple, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -53,21 +53,6 @@ proptest! {
         prop_assert_eq!(Rid::unpack(rid.pack()), rid);
     }
 
-    /// Histogram percentiles are monotone in p.
-    #[test]
-    fn histogram_percentiles_monotone(samples in prop::collection::vec(1u64..1_000_000, 1..100)) {
-        let h = Histogram::new();
-        for s in &samples {
-            h.record(std::time::Duration::from_nanos(*s));
-        }
-        let p50 = h.percentile(50.0);
-        let p90 = h.percentile(90.0);
-        let p99 = h.percentile(99.0);
-        prop_assert!(p50 <= p90);
-        prop_assert!(p90 <= p99);
-        prop_assert_eq!(h.count(), samples.len() as u64);
-    }
-
     /// Projection then concat never panics and preserves arity sums.
     #[test]
     fn tuple_ops_compose(vals in prop::collection::vec(any::<i64>(), 1..8)) {
@@ -98,20 +83,14 @@ proptest! {
         prop_assert_eq!(ColumnBatch::decode(&enc).unwrap(), batch);
     }
 
-    /// Mirrors `tuple.rs::decode_rejects_truncation` for the columnar
-    /// codec: every strict prefix of a valid encoding must fail to
-    /// decode, for arbitrary batches.
+    /// The wire contract (every strict prefix rejected, trailing bytes
+    /// rejected, every byte flip a value or a codec error) holds for
+    /// arbitrary small batches, not just the fixed samples in `column.rs`.
     #[test]
     fn column_codec_rejects_truncation(seed in any::<u64>(), cols in 1usize..5, rows in 0usize..12) {
         let (types, tuples) = arbitrary_columnar(seed, cols, rows);
         let batch = ColumnBatch::from_tuples(&types, &tuples).unwrap();
-        let enc = batch.encode();
-        for cut in 0..enc.len() {
-            prop_assert!(
-                ColumnBatch::decode(&enc.slice(0..cut)).is_err(),
-                "decode succeeded at cut {} of {}", cut, enc.len()
-            );
-        }
+        assert_codec_contract(&[batch], ColumnBatch::encode, ColumnBatch::decode);
     }
 
     /// Corrupting a column's tag byte to an unknown value must be
@@ -125,7 +104,10 @@ proptest! {
         // The first column's tag sits right after the 6-byte header.
         enc[6] = bad_tag;
         let corrupted = bytes::Bytes::copy_from_slice(&enc);
-        prop_assert!(ColumnBatch::decode(&corrupted).is_err());
+        prop_assert_eq!(
+            ColumnBatch::decode(&corrupted),
+            Err(anydb_common::DbError::Codec("unknown column tag"))
+        );
     }
 
     /// Zero-copy `slice` views are indistinguishable from materialized
@@ -196,18 +178,14 @@ proptest! {
         prop_assert_eq!(rest, &tuples[batch_rows..]);
     }
 
-    /// The predicate wire codec roundtrips arbitrary predicate trees and
-    /// rejects every strict prefix.
+    /// The predicate wire codec keeps the wire contract for arbitrary
+    /// predicate trees.
     #[test]
     fn predicate_codec_roundtrips(seed in any::<u64>(), depth in 0usize..3) {
         use anydb_common::ColPredicate;
         let mut rng = StdRng::seed_from_u64(seed);
         let pred = arbitrary_predicate(&mut rng, depth);
-        let enc = pred.encode();
-        prop_assert_eq!(ColPredicate::decode(&enc).unwrap(), pred);
-        for cut in 0..enc.len() {
-            prop_assert!(ColPredicate::decode(&enc.slice(0..cut)).is_err());
-        }
+        assert_codec_contract(&[pred], ColPredicate::encode, ColPredicate::decode);
     }
 
     /// Vectorized select and row-at-a-time matches agree for arbitrary
@@ -312,9 +290,8 @@ proptest! {
         prop_assert_eq!(refined, direct);
     }
 
-    /// The scan-request wire codec roundtrips arbitrary requests (every
-    /// flag combination, arbitrary predicate trees) and rejects every
-    /// strict prefix of a valid encoding.
+    /// The scan-request wire codec keeps the wire contract for arbitrary
+    /// requests (every flag combination, arbitrary predicate trees).
     #[test]
     fn scan_request_codec_roundtrips(
         seed in any::<u64>(), depth in 0usize..3, has_pred in any::<bool>(),
@@ -331,14 +308,7 @@ proptest! {
             batch_rows,
             shared,
         };
-        let enc = req.encode();
-        prop_assert_eq!(ScanRequest::decode(&enc).unwrap(), req);
-        for cut in 0..enc.len() {
-            prop_assert!(
-                ScanRequest::decode(&enc.slice(0..cut)).is_err(),
-                "request decode succeeded at cut {} of {}", cut, enc.len()
-            );
-        }
+        assert_codec_contract(&[req], ScanRequest::encode, ScanRequest::decode);
     }
 
     /// Corrupting a scan request's message tag or setting an unknown
@@ -368,7 +338,8 @@ proptest! {
 
     /// The scan-reply wire codec roundtrips arbitrary (snapshot, batch)
     /// payloads, rejects every strict prefix, and rejects a corrupted
-    /// message tag.
+    /// message tag. (Byte flips are enumerated on the batch payload by
+    /// `column_codec_rejects_truncation` and on whole replies in `scan.rs`.)
     #[test]
     fn scan_reply_codec_roundtrips(
         seed in any::<u64>(), cols in 1usize..5, rows in 0usize..16, part in 0u32..8,

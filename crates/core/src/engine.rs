@@ -21,7 +21,7 @@
 //! 1. A driver noticing a newer plan epoch first **drains** its own
 //!    in-flight transactions — they finish under the plan that admitted
 //!    them, and their completions count normally.
-//! 2. It then **rendezvouses** with every other driver at a [`SwapSync`]
+//! 2. It then **rendezvouses** with every other driver at a `SwapSync`
 //!    barrier. Only when all drivers have drained does anyone admit under
 //!    the new plan, so whole-transaction execution (no order gates) and
 //!    decomposed stage execution (gate-ordered) never interleave on the

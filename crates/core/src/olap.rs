@@ -1208,7 +1208,7 @@ impl KeySet {
 ///    exact member predicates can be re-checked downstream. This widens
 ///    the wire by one column in exchange for replacing N scans with 1.
 /// 3. **One shared build side** — the open-order key set has no
-///    per-member predicate, so one [`KeySet`] (dense bitmap or hash)
+///    per-member predicate, so one `KeySet` (dense bitmap or hash)
 ///    serves every member's join-2 probe.
 /// 4. **Selection-vector fan-out at the probe** — each member refines
 ///    the hull-scanned batches with its exact predicate via the

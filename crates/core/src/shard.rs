@@ -44,7 +44,7 @@
 //!
 //! Each node's storage tier can run replicated exactly like a PR-8
 //! storage AC: followers join over [`PrimaryEnd`] links, WAL records
-//! (2PC records included) ship via the shared [`ship_records`] path, and
+//! (2PC records included) ship via the shared `ship_records` path, and
 //! Votes / DecideAcks / client acks gate on the follower watermark so a
 //! promoted follower can always reconstruct staged state from its
 //! mirrored log and re-ask the coordinator.
@@ -1343,7 +1343,7 @@ fn pk_present(store: &Store, table: TableId, key: i64) -> bool {
 /// re-submitting unacked orders after `ack_timeout` (same txn id — the
 /// coordinator answers idempotently) and retrying submits while a node
 /// is down mid-replacement. Order `i` runs as txn/o_id `i + 1`. Returns
-/// the same audit-ready [`DriveStats`] as the replication driver.
+/// the same audit-ready [`DriveStats`](crate::DriveStats) as the replication driver.
 pub fn drive_orders(
     router: &ShardRouter,
     orders: &[NewOrderParams],

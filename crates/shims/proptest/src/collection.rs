@@ -9,7 +9,7 @@ pub fn vec<S: Strategy>(element: S, size: std::ops::Range<usize>) -> VecStrategy
     VecStrategy { element, size }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: std::ops::Range<usize>,

@@ -4,7 +4,7 @@
 //! * [`OrderedIndex`] — non-unique ordered index supporting range and
 //!   prefix scans (e.g. the TPC-C customer last-name index).
 //!
-//! Indexes are sharded per partition by the owning [`crate::store::Table`],
+//! Indexes are sharded per partition by the owning [`crate::table::Table`],
 //! so the locks here see contention only within one partition.
 
 use anydb_common::fxmap::FxHashMap;

@@ -16,8 +16,8 @@
 //! tuple-buffer cache miss per row. The mirror sits behind its own `RwLock`
 //! (acquired *after* the row-store locks, never the other way around):
 //! writers hold it for the duration of one row's write-through, scans hold
-//! it in read chunks paced by a writer-aware controller ([`ChunkPacer`],
-//! starting at [`SNAPSHOT_CHUNK`] rows) — racing OLTP writers stall at
+//! it in read chunks paced by a writer-aware controller (`ChunkPacer`,
+//! starting at `SNAPSHOT_CHUNK` rows) — racing OLTP writers stall at
 //! most one chunk's worth of copying, and the chunk shrinks while writers
 //! are actually queueing behind the scan.
 //!
@@ -421,7 +421,7 @@ impl Partition {
     ///
     /// Mirrored mechanics: the prefix and start epochs are captured under
     /// the mirror's read lock, then rows are copied out of the typed
-    /// column vectors in [`SNAPSHOT_CHUNK`]-sized chunks — predicate
+    /// column vectors in `SNAPSHOT_CHUNK`-sized chunks — predicate
     /// evaluated vectorized, survivors gathered per column. Between chunks
     /// the lock is released so racing OLTP writers (who take it for one
     /// row's write-through) are stalled at most one chunk's worth of

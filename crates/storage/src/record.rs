@@ -4,9 +4,9 @@ use anydb_common::Tuple;
 
 /// A stored row: the tuple plus a version counter bumped on every update.
 ///
-/// Versions serve three purposes: OCC validation (`anydb-txn::occ`),
-/// serializability checking in tests, and cheap change detection for
-/// secondary-index maintenance.
+/// Versions serve two purposes: serializability checking in tests
+/// (`anydb_txn::history`) and cheap change detection for secondary-index
+/// maintenance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     tuple: Tuple,

@@ -18,8 +18,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use anydb_common::repl::{decode_records_from, encode_records_into};
-use anydb_common::{DbError, DbResult, TxnId};
-use bytes::{Buf, Bytes, BytesMut};
+use anydb_common::wire;
+use anydb_common::{DbResult, TxnId};
+use bytes::Bytes;
 use parking_lot::Mutex;
 
 pub use anydb_common::repl::{LogOp, LogRecord};
@@ -110,28 +111,22 @@ impl Wal {
     /// [`anydb_common::repl`] record encoding.
     pub fn serialize(&self) -> Bytes {
         let records = self.snapshot();
-        let mut buf = BytesMut::new();
-        encode_records_into(&records, &mut buf);
-        buf.freeze()
+        wire::encode(0, |buf| encode_records_into(&records, buf))
     }
 
     /// Parses a serialized log back into records. Corrupt or truncated
-    /// bytes are a [`DbError::Codec`] — never a panic (the same hardened
-    /// codec rejects torn batches on the replication wire).
-    pub fn deserialize(mut bytes: Bytes) -> DbResult<Vec<LogRecord>> {
-        let records = decode_records_from(&mut bytes)?;
-        if bytes.remaining() != 0 {
-            return Err(DbError::Codec("trailing bytes after log"));
-        }
-        Ok(records)
+    /// bytes are a [`anydb_common::DbError::Codec`] — never a panic (the
+    /// same checked reader rejects torn batches on the replication wire).
+    pub fn deserialize(bytes: Bytes) -> DbResult<Vec<LogRecord>> {
+        wire::decode_exact(&bytes, decode_records_from)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anydb_common::{PartitionId, Rid, TableId, Tuple, Value};
-    use bytes::BufMut;
+    use anydb_common::{DbError, PartitionId, Rid, TableId, Tuple, Value};
+    use bytes::{BufMut, BytesMut};
 
     fn tuple(i: i64) -> Tuple {
         Tuple::new(vec![Value::Int(i), Value::str("x")])

@@ -1,6 +1,6 @@
 //! DPI-style flows: stream transformations applied *en route*.
 //!
-//! The paper (§4, Figure 6) observes that with DPI [1] the network itself
+//! The paper (§4, Figure 6) observes that with DPI \[1\] the network itself
 //! acts as a co-processor: data beams across InfiniBand arrive pre-filtered
 //! and pre-placed, making the disaggregated architecture *faster* than the
 //! aggregated one. A [`Flow`] is an ordered list of relational stages
@@ -13,6 +13,7 @@
 
 use std::sync::Arc;
 
+use anydb_common::wire::{self, WireRead};
 use anydb_common::{ColPredicate, ColumnBatch, DbError, DbResult, Tuple};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -141,26 +142,18 @@ impl Flow {
     /// Decodes one flow spec, advancing `buf` past the consumed bytes.
     /// Rejects truncation and unknown stage tags.
     pub fn decode_from(buf: &mut impl Buf) -> DbResult<Flow> {
-        if buf.remaining() < 2 {
-            return Err(DbError::Codec("flow stage count truncated"));
-        }
-        let n = buf.get_u16() as usize;
-        let mut stages = Vec::with_capacity(n.min(64));
+        let n = buf.read_u16()?;
+        // The smallest stage is an empty projection: tag + u16 count.
+        let n = buf.count(n, 3, "flow stage count exceeds payload")?;
+        let mut stages = Vec::with_capacity(n);
         for _ in 0..n {
-            if buf.remaining() < 1 {
-                return Err(DbError::Codec("flow stage tag truncated"));
-            }
-            stages.push(match buf.get_u8() {
+            stages.push(match buf.read_u8()? {
                 FLOW_FILTER_COL => FlowStage::FilterCol(ColPredicate::decode_from(buf)?),
                 FLOW_PROJECT => {
-                    if buf.remaining() < 2 {
-                        return Err(DbError::Codec("flow projection count truncated"));
-                    }
-                    let ncols = buf.get_u16() as usize;
-                    if buf.remaining() < ncols * 4 {
-                        return Err(DbError::Codec("flow projection truncated"));
-                    }
-                    FlowStage::Project((0..ncols).map(|_| buf.get_u32() as usize).collect())
+                    let ncols = buf.read_u16()?;
+                    let ncols = buf.count(ncols, 4, "flow projection count exceeds payload")?;
+                    let cols = (0..ncols).map(|_| Ok(buf.read_u32()? as usize));
+                    FlowStage::Project(cols.collect::<DbResult<_>>()?)
                 }
                 _ => return Err(DbError::Codec("unknown flow stage tag")),
             });
@@ -168,14 +161,9 @@ impl Flow {
         Ok(Flow { stages })
     }
 
-    /// Decodes from a standalone buffer (must be fully consumed).
+    /// Decodes a standalone frame holding exactly one flow spec.
     pub fn decode(bytes: &Bytes) -> DbResult<Flow> {
-        let mut buf = bytes.clone();
-        let flow = Self::decode_from(&mut buf)?;
-        if buf.remaining() != 0 {
-            return Err(DbError::Codec("trailing bytes after flow spec"));
-        }
-        Ok(flow)
+        wire::decode_exact(bytes, Self::decode_from)
     }
 
     /// Applies all stages to a row batch. The wire size is maintained
@@ -571,17 +559,16 @@ mod tests {
             })
             .project(vec![0, 2]);
         let enc = flow.encode().unwrap();
-        for cut in 0..enc.len() {
-            assert!(
-                Flow::decode(&enc.slice(0..cut)).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
-        }
+        // `Flow` has no `==`: the contract runs on its encodings, a flow
+        // decoding back to one that re-encodes to the same bytes.
+        let samples = [enc.clone(), Flow::identity().encode().unwrap()];
+        let decode = |b: &Bytes| Flow::decode(b)?.encode();
+        wire::assert_codec_contract(&samples, Bytes::clone, decode);
         let mut bad_tag = enc.chunk().to_vec();
         bad_tag[2] = 0xEE; // first stage tag sits after the u16 count
-        assert!(Flow::decode(&Bytes::copy_from_slice(&bad_tag)).is_err());
-        let mut trailing = enc.chunk().to_vec();
-        trailing.push(0);
-        assert!(Flow::decode(&Bytes::copy_from_slice(&trailing)).is_err());
+        assert_eq!(
+            Flow::decode(&Bytes::copy_from_slice(&bad_tag)).err(),
+            Some(DbError::Codec("unknown flow stage tag"))
+        );
     }
 }

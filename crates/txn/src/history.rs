@@ -9,8 +9,8 @@
 //! * `rw`: a reader of version `v` precedes the writer of `v+1`.
 //!
 //! A history is (conflict-)serializable iff the graph is acyclic. Every CC
-//! scheme in the repository — wait-die 2PL, OCC, and the paper's streaming
-//! CC — is property-tested against this checker.
+//! scheme in the repository — wait-die 2PL and the paper's streaming CC —
+//! is property-tested against this checker.
 
 use anydb_common::fxmap::FxHashMap;
 use anydb_common::{Rid, TxnId};

@@ -5,7 +5,6 @@
 //!
 //! * [`lock`] — a sharded record lock manager with shared/exclusive modes
 //!   and the classic no-wait and wait-die policies (what DBx1000 uses),
-//! * [`occ`] — optimistic validation over read/write sets,
 //! * [`sequencer`] — order stamps and admission gates for the paper's
 //!   *streaming concurrency control* (§3.3): conflicting transactions are
 //!   serialized by consistent event order, not by blocking synchronization,
@@ -17,14 +16,12 @@
 
 pub mod history;
 pub mod lock;
-pub mod occ;
 pub mod sequencer;
 pub mod ts;
 pub mod twopc;
 
 pub use history::{History, Op};
 pub use lock::{LockManager, LockMode, LockPolicy};
-pub use occ::OccManager;
 pub use sequencer::{OrderGate, SeqNo, Sequencer};
 pub use ts::TxnIdGen;
 pub use twopc::{CoordVotes, Retransmit};
