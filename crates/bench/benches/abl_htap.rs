@@ -6,8 +6,9 @@
 //! runs inline for `Event::QueryQ3` — no streams, one thread, same
 //! database:
 //!
-//! * **row**: `exec_q3_local_rows` — per-row latch, per-`Value` key
-//!   extraction, tuple-keyed hash sets (the PR 3 state of the HTAP path).
+//! * **row**: `anydb_dbx1000::exec_q3`, the baseline's executor and the
+//!   one row-at-a-time Q3 left — per-row latch, per-`Value` key
+//!   extraction, tuple-keyed hash sets.
 //! * **columnar**: `exec_q3_local` — epoch-validated shared snapshot
 //!   scans (`scan_columns_snapshot_shared`, served zero-copy while the
 //!   scanned column sets are quiescent) feeding dense-bitmap joins over
@@ -51,7 +52,8 @@ use std::time::Instant;
 
 use anydb_bench::{bench_json_path, figure_header, median, row, write_flat_json};
 use anydb_common::{ColumnBatch, DataType, PartitionId, Rid, Tuple, Value};
-use anydb_core::olap::{exec_q3_local, exec_q3_local_rows};
+use anydb_core::olap::exec_q3_local;
+use anydb_dbx1000::exec_q3;
 use anydb_storage::Table;
 use anydb_workload::chbench::Q3Spec;
 use anydb_workload::tpcc::{cols, TpccConfig, TpccDb};
@@ -198,7 +200,7 @@ fn main() {
     // Warmup both arms (fault in tables, warm the allocator) and check
     // agreement once — also on a bounded window, so the IntBetween
     // pushdown path is exercised.
-    let oracle = exec_q3_local_rows(&db, &spec);
+    let oracle = exec_q3(&db, &spec);
     assert_eq!(exec_q3_local(&db, &spec), oracle, "columnar diverged");
     let windowed = Q3Spec {
         entry_date_max: 20091231,
@@ -206,7 +208,7 @@ fn main() {
     };
     assert_eq!(
         exec_q3_local(&db, &windowed),
-        exec_q3_local_rows(&db, &windowed),
+        exec_q3(&db, &windowed),
         "columnar diverged on the bounded window"
     );
 
@@ -248,7 +250,7 @@ fn main() {
     let mut cold_secs = Vec::new();
     let mut disjoint_secs = Vec::new();
     for _ in 0..REPS {
-        let (rows, secs) = timed(|| exec_q3_local_rows(&db, &spec));
+        let (rows, secs) = timed(|| exec_q3(&db, &spec));
         assert_eq!(rows, oracle);
         row_secs.push(secs);
         // Cold arm: every partition's Q3 column set written since the

@@ -166,8 +166,8 @@ pub struct BeamingResult {
 /// (the stream ships only the join-key columns, in the one-tag-per-column
 /// wire encoding). On an offload link the pushdown work is the NIC's —
 /// free for the host; on a non-offload link the producer pays the
-/// host-side processing cost (sleep proportional to pre-filter input
-/// bytes, exactly as the row path charged its flows).
+/// host-side processing cost: a sleep proportional to the full-row wire
+/// bytes of every scanned row, before any filter or projection.
 fn spawn_producer(
     db: &Arc<TpccDb>,
     table: fn(&TpccDb) -> &Table,
@@ -223,8 +223,8 @@ fn stream_scan_columns_throttled(
             continue;
         };
         // Materialize with pushdown while metering the input the host
-        // "read" to do it: every scanned row's full wire size, matching
-        // what the row path charged for its flow stages.
+        // "read" to do it: every scanned row's full wire size, whether
+        // or not it qualifies.
         let mut out = table.column_batch(proj);
         let mut input_bytes = 0usize;
         part.scan(|_, row| {
@@ -470,13 +470,19 @@ mod tests {
         let db = db();
         let spec = Q3Spec::default();
         let expected = exec_q3_local(&db, &spec);
-        for variant in [
-            BeamVariant::Baseline,
-            BeamVariant::BeamBuild,
-            BeamVariant::BeamBuildProbe,
-        ] {
-            let r = run_q3(&db, spec, &fast_cfg(variant, 0));
-            assert_eq!(r.rows, expected, "variant {variant:?}");
+        for arch in [ArchMode::Aggregated, ArchMode::Disaggregated] {
+            for variant in [
+                BeamVariant::Baseline,
+                BeamVariant::BeamBuild,
+                BeamVariant::BeamBuildProbe,
+            ] {
+                let cfg = BeamingConfig {
+                    arch,
+                    ..fast_cfg(variant, 0)
+                };
+                let r = run_q3(&db, spec, &cfg);
+                assert_eq!(r.rows, expected, "{arch:?} {variant:?}");
+            }
         }
     }
 

@@ -2,28 +2,28 @@
 //!
 //! §4 of the paper: OLAP operations are data-intensive, so data streams
 //! must bring data to wherever events execute. This module provides both
-//! sides of that flow, in two representations:
+//! sides of that flow; every data stream is columnar:
 //!
-//! * [`stream_scan`] — the row-path producer: scan a table partition
-//!   range, batch the tuples, and push them through a [`FlowSender`]
-//!   (which may filter/project en route, possibly offloaded à la DPI),
-//! * [`stream_scan_columns`] — the vectorized producer: scan straight
-//!   into [`ColumnBatch`] column vectors with projection and filter
-//!   **pushdown at the scan** (no per-row `Tuple` clone, no post-hoc
-//!   flow pass over already-copied rows), shipped in the columnar wire
-//!   encoding,
+//! * [`stream_scan_columns`] — the producer: scan straight into
+//!   [`ColumnBatch`] column vectors with projection and filter
+//!   **pushdown at the scan** (no per-row `Tuple` clone), shipped through
+//!   a [`ColFlowSender`] in the columnar wire encoding,
+//! * [`serve_scan_stream`] / [`request_remote_scan`] — the same scan
+//!   across the wire protocol (DESIGN.md §8), for storage on another AC,
 //! * [`Q3Compute`] — the compute-side consumer: builds hash sets from the
 //!   customer and new-order streams, then probes the orders stream —
-//!   3 filtered scans and 2 joins, as the paper describes. [`Q3Compute::run`]
-//!   consumes row batches; [`Q3Compute::run_columns`] consumes column
-//!   batches, building keys straight from `(w, d, id)` column slices and
-//!   probing without materializing a single row,
-//! * [`exec_q3_local`] — the fully aggregated (single-AC) execution used
-//!   by HTAP OLAP workers: snapshot-consistent columnar scans
-//!   (`scan_columns_snapshot`, filters pushed down) feeding dense-bitmap
-//!   or hash joins over zipped key slices. [`exec_q3_local_rows`] is the
-//!   retired row-at-a-time version, kept as the `abl_htap` baseline arm
-//!   and as an independent oracle.
+//!   3 filtered scans and 2 joins, as the paper describes.
+//!   [`Q3Compute::run_columns`] (in-process batches) and
+//!   [`Q3Compute::run_wire`] (encoded reply frames) build keys straight
+//!   from `(w, d, id)` column slices and probe without materializing a
+//!   single row,
+//! * [`exec_q3_local`] / [`exec_q3_shared`] — the fully aggregated
+//!   (single-AC) execution used by HTAP OLAP workers: snapshot-consistent
+//!   columnar scans (filters pushed down) feeding dense-bitmap or hash
+//!   joins over zipped key slices.
+//!
+//! The one row-at-a-time Q3 executor is the baseline's
+//! (`anydb_dbx1000::exec_q3`); `reference_q3` is the row-level oracle.
 //!
 //! ## The columnar stream protocol
 //!
@@ -41,55 +41,18 @@ use anydb_common::backoff::Backoff;
 use anydb_common::fxmap::{FxHashMap, FxHashSet};
 use anydb_common::metrics::{Counter, RobustSnapshot};
 use anydb_common::scan::MSG_SCAN_ERROR;
+use anydb_common::wire;
 use anydb_common::{
     bitmap_ones, ColPredicate, ColumnBatch, DbError, DbResult, PartitionId, ScanError, ScanReply,
     ScanRequest, Tuple,
 };
 use anydb_storage::Table;
-use anydb_stream::batch::Batch;
-use anydb_stream::flow::{ColFlowSender, Flow, FlowSender, FlowStage};
+use anydb_stream::flow::{ColFlowSender, Flow, FlowStage};
 use anydb_stream::link::{DeadlineRecv, LinkReceiver, RecvState};
 use anydb_stream::remote::{ScanRequester, ScanResponder};
 use anydb_workload::chbench::Q3Spec;
 use anydb_workload::tpcc::TpccDb;
-use bytes::{Buf, Bytes, BytesMut};
-
-/// Scans every partition of `table`, batches rows (`batch_rows` each) and
-/// pushes them through the flow. Closes the stream by dropping the sender.
-/// Returns the number of tuples scanned (pre-flow).
-///
-/// Batches are built *during* the scan with an incrementally-maintained
-/// byte count (each tuple is measured exactly once, as it is cloned), and
-/// each partition's worth ships through the bulk flow path
-/// ([`FlowSender::send_batches_blocking`]): one clock read and bulk ring
-/// crossings per partition, while every batch keeps its own serialized
-/// wire transfer so consumers overlap compute with the in-flight
-/// remainder.
-pub fn stream_scan(table: &Table, mut flow: FlowSender, batch_rows: usize) -> usize {
-    let mut scanned = 0usize;
-    for p in 0..table.partition_count() {
-        let Ok(part) = table.partition(PartitionId(p)) else {
-            continue;
-        };
-        let mut batches: Vec<Batch> = Vec::new();
-        let mut cur = Batch::empty();
-        part.scan(|_, row| {
-            cur.push(row.tuple().clone());
-            scanned += 1;
-            if cur.len() == batch_rows {
-                batches.push(std::mem::replace(&mut cur, Batch::empty()));
-            }
-        });
-        if !cur.is_empty() {
-            batches.push(cur);
-        }
-        if flow.send_batches_blocking(batches).is_err() {
-            return scanned; // consumer gone
-        }
-    }
-    flow.finish();
-    scanned
-}
+use bytes::{Buf, Bytes};
 
 /// Vectorized scan producer: materializes each partition straight into
 /// [`ColumnBatch`] column vectors with `proj`ection and `pred` filter
@@ -123,9 +86,11 @@ pub fn stream_scan_columns(
 type JoinKey = (i64, i64, i64);
 
 /// Compute-side Q3: consumes three data streams and reports phase timings.
-pub struct Q3Compute {
-    spec: Q3Spec,
-}
+///
+/// It keeps no per-query state: the columnar stream protocol (see the
+/// module docs) runs the spec's filters at the scans, so the streams
+/// arrive carrying only qualifying join keys.
+pub struct Q3Compute;
 
 /// Result of a compute-side Q3 execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,8 +120,8 @@ enum Q3Stream {
 }
 
 /// A batch consumer plugged into the shared three-stream round-robin
-/// loop ([`consume_streams`]); implemented once over row batches and once
-/// over column batches.
+/// loop ([`consume_streams`]); implemented once over in-process column
+/// batches and once over encoded wire frames.
 trait Q3Sink<T> {
     /// Absorbs one batch. `builds_closed` is true once both build-side
     /// streams have finished (probe directly instead of staging).
@@ -312,51 +277,6 @@ impl JoinState {
     }
 }
 
-/// Row-batch sink: applies the spec's filters defensively (idempotent —
-/// producers may or may not have pre-filtered) and extracts keys tuple
-/// by tuple.
-struct RowSink {
-    spec: Q3Spec,
-    join: JoinState,
-}
-
-impl Q3Sink<Batch> for RowSink {
-    fn absorb(&mut self, stream: Q3Stream, batch: Batch, builds_closed: bool) {
-        self.join.bytes[stream as usize] += batch.bytes();
-        match stream {
-            Q3Stream::Customers => {
-                for t in batch.tuples() {
-                    if self.spec.customer_filter(t) {
-                        self.join.cust_keys.insert(Q3Spec::customer_join_key(t));
-                    }
-                }
-            }
-            Q3Stream::Neworders => {
-                for t in batch.tuples() {
-                    self.join.open_keys.insert(Q3Spec::neworder_key(t));
-                }
-            }
-            Q3Stream::Orders => {
-                for t in batch.tuples() {
-                    if !self.spec.order_filter(t) {
-                        continue;
-                    }
-                    let keys = (Q3Spec::order_customer_key(t), Q3Spec::order_key(t));
-                    if builds_closed {
-                        self.join.probe(keys.0, keys.1);
-                    } else {
-                        self.join.staged.push(keys);
-                    }
-                }
-            }
-        }
-    }
-
-    fn close_builds(&mut self) {
-        self.join.close_builds();
-    }
-}
-
 /// Column-batch sink: builds keys straight from `(w, d, id)` column
 /// slices and probes by zipping the key columns — no tuple is ever
 /// materialized. Relies on the columnar stream protocol (filters pushed
@@ -475,32 +395,10 @@ impl Q3Sink<Bytes> for WireSink {
 }
 
 impl Q3Compute {
-    /// New executor for the given spec.
-    pub fn new(spec: Q3Spec) -> Self {
-        Self { spec }
-    }
-
-    /// Runs the row-batch pipeline: build from `customers` and
-    /// `neworders`, probe `orders`. Filters are applied defensively on
-    /// the compute side too (idempotent), so producers may or may not
-    /// pre-filter (beamed flows filter at the source / on the NIC).
-    pub fn run(
-        &self,
-        customers: LinkReceiver<Batch>,
-        neworders: LinkReceiver<Batch>,
-        orders: LinkReceiver<Batch>,
-    ) -> Q3ComputeResult {
-        let mut sink = RowSink {
-            spec: self.spec,
-            join: JoinState::default(),
-        };
-        let (build, probe) = consume_streams(&mut sink, customers, neworders, orders);
-        Q3ComputeResult {
-            rows: sink.join.rows,
-            build,
-            probe,
-            stream_bytes: sink.join.bytes,
-        }
+    /// New executor for streams produced under `spec`. The spec's filters
+    /// already ran at the producing scans, so nothing of it is kept.
+    pub fn new(_spec: Q3Spec) -> Self {
+        Self
     }
 
     /// Runs the vectorized pipeline over columnar streams following the
@@ -550,13 +448,18 @@ impl Q3Compute {
 /// the frame a compute AC ships to open a remote pushed-down scan; the
 /// storage side splits it back apart with the same two codecs.
 ///
-/// Fails only if `flow` contains a stage with no wire form (an opaque
-/// closure filter).
+/// Cannot fail: every flow stage has a wire form. The `DbResult` return
+/// stays for existing callers.
 pub fn encode_remote_scan(req: &ScanRequest, flow: &Flow) -> DbResult<Bytes> {
-    let mut buf = BytesMut::new();
-    req.encode_into(&mut buf);
-    flow.encode_into(&mut buf)?;
-    Ok(buf.freeze())
+    Ok(remote_scan_frame(req, flow))
+}
+
+/// The frame [`encode_remote_scan`] describes.
+fn remote_scan_frame(req: &ScanRequest, flow: &Flow) -> Bytes {
+    wire::encode(0, |buf| {
+        req.encode_into(buf);
+        flow.encode_into(buf);
+    })
 }
 
 /// `true` iff every [`FlowStage::Project`] in `flow` stays in bounds when
@@ -689,13 +592,13 @@ pub fn serve_scan_stream(table: &Table, responder: ScanResponder) -> usize {
 /// Opens one remote pushed-down scan as a compute AC would: ships the
 /// encoded `(request, flow)` frame, closes the request direction, and
 /// returns the reply stream to drain plus the request bytes charged to
-/// the wire. Panics on a flow with no wire form (caller bug).
+/// the wire.
 pub fn request_remote_scan(
     mut requester: ScanRequester,
     req: &ScanRequest,
     flow: &Flow,
 ) -> (LinkReceiver<Bytes>, usize) {
-    let frame = encode_remote_scan(req, flow).expect("flow has no wire form");
+    let frame = remote_scan_frame(req, flow);
     // An Err means the storage side is already gone; the returned reply
     // receiver will report Disconnected, which consumers treat as
     // end-of-stream — no separate handling needed here.
@@ -905,8 +808,8 @@ const KEY_BITMAP_MAX_BITS: u128 = 1 << 24;
 /// bounds check plus one bit test in an L1/L2-resident bitmap instead of
 /// a hash probe. This is the join-strategy upgrade the columnar rewrite
 /// makes nearly free: the per-column min/max needed to pick the strategy
-/// is one pass over packed `i64` slices, which the row path would have to
-/// pay per-`Value` per-row.
+/// is one pass over packed `i64` slices, which a row-at-a-time executor
+/// would pay per-`Value` per-row.
 struct KeyBitmap {
     w_min: i64,
     d_min: i64,
@@ -1118,9 +1021,9 @@ fn snapshot_key_batches(
 /// long as no OLTP write touches the projected ∪ filtered columns. The
 /// two joins then run over
 /// packed key slices: bitmap membership when the key domains are dense
-/// (the TPC-C case), hash sets otherwise. [`exec_q3_local_rows`] keeps
-/// the row-at-a-time execution as the baseline arm of `abl_htap`, and
-/// `reference_q3` remains the row-level oracle both are tested against.
+/// (the TPC-C case), hash sets otherwise. It is tested against the
+/// row-level oracle `reference_q3` and against the baseline's
+/// row-at-a-time executor, `anydb_dbx1000::exec_q3`.
 pub fn exec_q3_local(db: &TpccDb, spec: &Q3Spec) -> usize {
     let cust = snapshot_key_batches(
         &db.customer,
@@ -1365,45 +1268,6 @@ fn dedup_predicates(preds: &[ColPredicate]) -> (Vec<usize>, Vec<&ColPredicate>) 
     (group_of, reps)
 }
 
-/// Row-at-a-time local Q3 under per-row latches — the pre-columnar HTAP
-/// execution, kept as the row-path baseline (`abl_htap`'s slow arm) and
-/// as an independent oracle for the columnar rewrite.
-pub fn exec_q3_local_rows(db: &TpccDb, spec: &Q3Spec) -> usize {
-    let mut cust_keys: FxHashSet<(i64, i64, i64)> = FxHashSet::default();
-    for p in 0..db.customer.partition_count() {
-        if let Ok(part) = db.customer.partition(PartitionId(p)) {
-            part.scan(|_, row| {
-                if spec.customer_filter(row.tuple()) {
-                    cust_keys.insert(Q3Spec::customer_join_key(row.tuple()));
-                }
-            });
-        }
-    }
-    let mut open_keys: FxHashSet<(i64, i64, i64)> = FxHashSet::default();
-    for p in 0..db.neworder.partition_count() {
-        if let Ok(part) = db.neworder.partition(PartitionId(p)) {
-            part.scan(|_, row| {
-                open_keys.insert(Q3Spec::neworder_key(row.tuple()));
-            });
-        }
-    }
-    let mut rows = 0usize;
-    for p in 0..db.orders.partition_count() {
-        if let Ok(part) = db.orders.partition(PartitionId(p)) {
-            part.scan(|_, row| {
-                let t = row.tuple();
-                if spec.order_filter(t)
-                    && cust_keys.contains(&Q3Spec::order_customer_key(t))
-                    && open_keys.contains(&Q3Spec::order_key(t))
-                {
-                    rows += 1;
-                }
-            });
-        }
-    }
-    rows
-}
-
 /// Collects all tuples of a table (test/diagnostic helper).
 pub fn collect_table(table: &Table) -> Vec<Tuple> {
     let mut out = Vec::with_capacity(table.row_count());
@@ -1435,15 +1299,14 @@ mod tests {
             &collect_table(&db.orders),
             &collect_table(&db.neworder),
         );
-        assert_eq!(exec_q3_local(&db, &spec), expected, "columnar local path");
-        assert_eq!(exec_q3_local_rows(&db, &spec), expected, "row local path");
+        assert_eq!(exec_q3_local(&db, &spec), expected);
     }
 
     #[test]
     fn windowed_spec_agrees_across_all_paths() {
         // A bounded date window pushes down as IntBetween; the columnar
-        // local execution, the row execution, the reference oracle, and
-        // the streamed columnar pipeline must all agree on it.
+        // local execution, the reference oracle, and the streamed
+        // columnar pipeline must all agree on it.
         let db = std::sync::Arc::new(TpccDb::load(TpccConfig::small(), 59).unwrap());
         let spec = Q3Spec {
             entry_date_max: 20091231,
@@ -1457,7 +1320,6 @@ mod tests {
         );
         assert!(expected > 0, "window keeps some orders at this seed");
         assert_eq!(exec_q3_local(&db, &spec), expected);
-        assert_eq!(exec_q3_local_rows(&db, &spec), expected);
         let (crx, nrx, orx, producers) = columnar_streams(&db, spec, 128);
         let streamed = Q3Compute::new(spec).run_columns(crx, nrx, orx);
         producers.join().unwrap();
@@ -1605,31 +1467,6 @@ mod tests {
         assert_eq!(join_hash(&empty, &no, &ord), 0);
     }
 
-    #[test]
-    fn streamed_matches_local() {
-        let db = std::sync::Arc::new(TpccDb::load(TpccConfig::small(), 52).unwrap());
-        let spec = Q3Spec::default();
-        let expected = exec_q3_local(&db, &spec);
-
-        let (ctx, crx) = SimLink::channel(LinkSpec::instant(), 1 << 14);
-        let (ntx, nrx) = SimLink::channel(LinkSpec::instant(), 1 << 14);
-        let (otx, orx) = SimLink::channel(LinkSpec::instant(), 1 << 14);
-
-        let producers = {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                stream_scan(&db.customer, FlowSender::new(ctx, Flow::identity()), 256);
-                stream_scan(&db.neworder, FlowSender::new(ntx, Flow::identity()), 256);
-                stream_scan(&db.orders, FlowSender::new(otx, Flow::identity()), 256);
-            })
-        };
-        let result = Q3Compute::new(spec).run(crx, nrx, orx);
-        producers.join().unwrap();
-        assert_eq!(result.rows, expected);
-        assert!(result.build > Duration::ZERO);
-        assert!(result.stream_bytes.iter().all(|&b| b > 0));
-    }
-
     /// Spawns the three columnar Q3 producers (key projections, filters
     /// pushed down) over instant links and returns the receivers.
     fn columnar_streams(
@@ -1681,58 +1518,54 @@ mod tests {
         let result = Q3Compute::new(spec).run_columns(crx, nrx, orx);
         producers.join().unwrap();
         assert_eq!(result.rows, expected);
+        assert!(result.build > Duration::ZERO);
         assert!(result.stream_bytes.iter().all(|&b| b > 0));
     }
 
     #[test]
     fn columnar_wire_bytes_beat_row_wire_bytes_per_stream() {
-        // Same database, both paths as beaming runs them (row path
-        // pre-filters via flows, columnar pushes down filter+projection):
-        // every stream must model fewer wire bytes columnar.
+        // A row stream filtered en route ships every qualifying row whole,
+        // one wire tag per value; the columnar streams ship key
+        // projections with the filters pushed down. Every stream must
+        // model fewer wire bytes columnar.
         let db = std::sync::Arc::new(TpccDb::load(TpccConfig::small(), 57).unwrap());
         let spec = Q3Spec::default();
-
-        let (ctx, crx) = SimLink::channel(LinkSpec::instant(), 1 << 14);
-        let (ntx, nrx) = SimLink::channel(LinkSpec::instant(), 1 << 14);
-        let (otx, orx) = SimLink::channel(LinkSpec::instant(), 1 << 14);
-        stream_scan(
-            &db.customer,
-            FlowSender::new(
-                ctx,
-                Flow::identity().filter(move |t| spec.customer_filter(t)),
-            ),
-            256,
-        );
-        stream_scan(&db.neworder, FlowSender::new(ntx, Flow::identity()), 256);
-        stream_scan(
-            &db.orders,
-            FlowSender::new(otx, Flow::identity().filter(move |t| spec.order_filter(t))),
-            256,
-        );
-        let row = Q3Compute::new(spec).run(crx, nrx, orx);
+        let row_bytes = |table: &Table, keep: &dyn Fn(&Tuple) -> bool| -> usize {
+            let rows = collect_table(table);
+            rows.iter().filter(|t| keep(t)).map(Tuple::wire_size).sum()
+        };
+        let row = [
+            row_bytes(&db.customer, &|t| spec.customer_filter(t)),
+            row_bytes(&db.neworder, &|_| true),
+            row_bytes(&db.orders, &|t| spec.order_filter(t)),
+        ];
 
         let (crx, nrx, orx, producers) = columnar_streams(&db, spec, 256);
         let col = Q3Compute::new(spec).run_columns(crx, nrx, orx);
         producers.join().unwrap();
 
-        assert_eq!(row.rows, col.rows);
-        for i in 0..3 {
-            assert!(
-                col.stream_bytes[i] < row.stream_bytes[i],
-                "stream {i}: columnar {} !< row {}",
-                col.stream_bytes[i],
-                row.stream_bytes[i]
-            );
+        assert_eq!(col.rows, exec_q3_local(&db, &spec));
+        for (i, (col, row)) in col.stream_bytes.iter().zip(row).enumerate() {
+            assert!(*col < row, "stream {i}: columnar {col} !< row {row}");
         }
     }
 
     #[test]
     fn prefiltered_streams_give_same_answer() {
-        // Producer-side filtering (what a DPI flow does) must not change
-        // the result because compute-side filters are idempotent.
+        // Filtering en route (what a DPI flow does) instead of at the scan
+        // must not change the result: the producers scan the shared
+        // projections (keys plus the filter column) unfiltered, and each
+        // stream's flow applies the predicate, then narrows to the keys.
         let db = std::sync::Arc::new(TpccDb::load(TpccConfig::small(), 53).unwrap());
         let spec = Q3Spec::default();
         let expected = exec_q3_local(&db, &spec);
+        let en_route = |pred: ColPredicate, proj: &[usize], keys: usize| {
+            Flow::identity()
+                .filter_col(pred.project_columns(proj).unwrap())
+                .project((0..keys).collect())
+        };
+        let cust_flow = en_route(spec.customer_pred(), &Q3Spec::CUSTOMER_SHARED_PROJ, 3);
+        let ord_flow = en_route(spec.order_pred(), &Q3Spec::ORDER_SHARED_PROJ, 4);
 
         let (ctx, crx) = SimLink::channel(LinkSpec::instant(), 1 << 14);
         let (ntx, nrx) = SimLink::channel(LinkSpec::instant(), 1 << 14);
@@ -1740,52 +1573,40 @@ mod tests {
         let producers = {
             let db = db.clone();
             std::thread::spawn(move || {
-                stream_scan(
+                stream_scan_columns(
                     &db.customer,
-                    FlowSender::new(
-                        ctx,
-                        Flow::identity().filter(move |t| spec.customer_filter(t)),
-                    ),
+                    ColFlowSender::new(ctx, cust_flow),
                     256,
+                    &Q3Spec::CUSTOMER_SHARED_PROJ,
+                    None,
                 );
-                stream_scan(&db.neworder, FlowSender::new(ntx, Flow::identity()), 256);
-                stream_scan(
-                    &db.orders,
-                    FlowSender::new(otx, Flow::identity().filter(move |t| spec.order_filter(t))),
+                stream_scan_columns(
+                    &db.neworder,
+                    ColFlowSender::new(ntx, Flow::identity()),
                     256,
+                    &Q3Spec::NEWORDER_KEY_PROJ,
+                    None,
+                );
+                stream_scan_columns(
+                    &db.orders,
+                    ColFlowSender::new(otx, ord_flow),
+                    256,
+                    &Q3Spec::ORDER_SHARED_PROJ,
+                    None,
                 );
             })
         };
-        let result = Q3Compute::new(spec).run(crx, nrx, orx);
+        let result = Q3Compute::new(spec).run_columns(crx, nrx, orx);
         producers.join().unwrap();
         assert_eq!(result.rows, expected);
     }
 
     #[test]
-    fn early_order_arrivals_are_staged_and_probed() {
+    fn early_columnar_order_arrivals_are_staged_and_probed() {
         // All three streams are fully delivered before the consumer
         // starts, so the first round-robin pass sees order batches while
-        // both builds are still open: they must be filtered, staged, and
-        // probed when the builds close — same answer as the oracle.
-        let db = TpccDb::load(TpccConfig::small(), 55).unwrap();
-        let spec = Q3Spec::default();
-        let expected = exec_q3_local(&db, &spec);
-
-        let (ctx, crx) = SimLink::channel(LinkSpec::instant(), 1 << 14);
-        let (ntx, nrx) = SimLink::channel(LinkSpec::instant(), 1 << 14);
-        let (otx, orx) = SimLink::channel(LinkSpec::instant(), 1 << 14);
-        stream_scan(&db.orders, FlowSender::new(otx, Flow::identity()), 256);
-        stream_scan(&db.customer, FlowSender::new(ctx, Flow::identity()), 256);
-        stream_scan(&db.neworder, FlowSender::new(ntx, Flow::identity()), 256);
-
-        let result = Q3Compute::new(spec).run(crx, nrx, orx);
-        assert_eq!(result.rows, expected);
-    }
-
-    #[test]
-    fn early_columnar_order_arrivals_are_staged_and_probed() {
-        // Columnar mirror of the staging test: orders fully delivered
-        // before the consumer starts.
+        // both builds are still open: their keys must be staged, and
+        // probed when the builds close — same answer as local execution.
         let db = std::sync::Arc::new(TpccDb::load(TpccConfig::small(), 58).unwrap());
         let spec = Q3Spec::default();
         let expected = exec_q3_local(&db, &spec);

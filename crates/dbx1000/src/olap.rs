@@ -76,16 +76,21 @@ mod tests {
     #[test]
     fn matches_reference_oracle() {
         let db = TpccDb::load(TpccConfig::small(), 21).unwrap();
-        let spec = Q3Spec::default();
-        let got = exec_q3(&db, &spec);
-        let expected = reference_q3(
-            &spec,
-            &collect_all(&db.customer),
-            &collect_all(&db.orders),
-            &collect_all(&db.neworder),
+        let (customers, orders, neworders) = (
+            collect_all(&db.customer),
+            collect_all(&db.orders),
+            collect_all(&db.neworder),
         );
-        assert_eq!(got, expected);
-        assert!(got > 0);
+        // The open-ended default window and a bounded one.
+        let windowed = Q3Spec {
+            entry_date_max: 20091231,
+            ..Q3Spec::default()
+        };
+        for spec in [Q3Spec::default(), windowed] {
+            let got = exec_q3(&db, &spec);
+            assert_eq!(got, reference_q3(&spec, &customers, &orders, &neworders));
+            assert!(got > 0, "{spec:?}");
+        }
     }
 
     #[test]

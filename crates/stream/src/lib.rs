@@ -15,18 +15,15 @@
 //! * [`fault`] — deterministic, seed-driven fault injection for those
 //!   links: drop windows, delay spikes, and permanent cuts,
 //! * [`network`] — link classes and the simulated server topology,
-//! * [`batch`] — tuple batches (the unit shipped on data streams),
-//! * [`flow`] — DPI-style flows that filter/project/partition *en route*
-//!   (the "NIC as co-processor" effect of Figure 6),
-//! * [`beam`] — data beams: data streams initiated before their consuming
-//!   events exist, plus the registry consumers use to attach to them.
+//! * [`flow`] — DPI-style flows that filter/project `ColumnBatch`es
+//!   *en route* (the "NIC as co-processor" effect of Figure 6), and the
+//!   sender that ships column batches through them,
+//! * [`remote`] — the scan wire protocol's two connection ends.
 //!
 //! Everything is non-blocking: receivers never wait for data — exactly the
 //! execution model of §2.1.
 
 pub mod adaptive;
-pub mod batch;
-pub mod beam;
 pub mod fault;
 pub mod flow;
 pub mod inbox;
@@ -35,8 +32,6 @@ pub mod network;
 pub mod remote;
 pub mod spsc;
 
-pub use batch::Batch;
-pub use beam::{BeamId, BeamReader, BeamRegistry};
 pub use fault::{FaultAction, FaultSpec, FaultState, FaultStats};
 pub use inbox::{Inbox, InboxSender};
 pub use link::{DeadlineRecv, LinkReceiver, LinkSender, LinkSpec, RecvState, SimLink};

@@ -2,7 +2,6 @@
 
 use anydb_common::{ColPredicate, ColumnBatch, DataType, Tuple, Value};
 use anydb_stream::adaptive::AdaptiveBatch;
-use anydb_stream::batch::Batch;
 use anydb_stream::flow::Flow;
 use anydb_stream::inbox::Inbox;
 use anydb_stream::link::{LinkSpec, SimLink};
@@ -14,12 +13,15 @@ use std::time::Duration;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Batch splitting conserves every tuple in order.
+    /// Column-batch splitting conserves every tuple in order, in batches of at
+    /// most `rows` rows.
     #[test]
     fn batch_split_conserves(values in prop::collection::vec(any::<i64>(), 0..200), rows in 1usize..64) {
         let tuples: Vec<Tuple> = values.iter().map(|v| Tuple::new(vec![Value::Int(*v)])).collect();
-        let batches = Batch::split(tuples.clone(), rows);
-        let rejoined: Vec<Tuple> = batches.into_iter().flat_map(Batch::into_tuples).collect();
+        let batch = ColumnBatch::from_tuples(&[DataType::Int], &tuples).unwrap();
+        let batches = batch.split(rows);
+        prop_assert!(batches.iter().all(|b| b.rows() <= rows));
+        let rejoined: Vec<Tuple> = batches.iter().flat_map(ColumnBatch::to_tuples).collect();
         prop_assert_eq!(rejoined, tuples);
     }
 
@@ -69,19 +71,20 @@ proptest! {
     /// input and exactly the tuples matching the predicate.
     #[test]
     fn flow_filter_is_exact(values in prop::collection::vec(any::<i64>(), 0..100), threshold in any::<i64>()) {
-        let flow = Flow::identity().filter(move |t| t.get(0).as_int().unwrap() >= threshold);
-        let batch = Batch::new(values.iter().map(|v| Tuple::new(vec![Value::Int(*v)])).collect());
-        let out = flow.apply(batch);
-        let got: Vec<i64> = out.tuples().iter().map(|t| t.get(0).as_int().unwrap()).collect();
+        let flow = Flow::identity().filter_col(ColPredicate::IntGe { col: 0, min: threshold });
+        let tuples: Vec<Tuple> = values.iter().map(|v| Tuple::new(vec![Value::Int(*v)])).collect();
+        let out = flow.apply_columns(ColumnBatch::from_tuples(&[DataType::Int], &tuples).unwrap());
+        let got: Vec<i64> = out.to_tuples().iter().map(|t| t.get(0).as_int().unwrap()).collect();
         let expected: Vec<i64> = values.iter().copied().filter(|v| *v >= threshold).collect();
         prop_assert_eq!(got, expected);
     }
 
-    /// Row-`Batch` ↔ `ColumnBatch` conversion roundtrips (values incl.
-    /// nulls), and for null-free batches of a few rows or more the
-    /// columnar wire model beats the row model — the point of one tag
-    /// per column. (With nulls the row codec can win: it spends 1 byte
-    /// per null where the columnar layout packs an 8-byte placeholder.)
+    /// Rows ↔ `ColumnBatch` conversion roundtrips (values incl. nulls),
+    /// and for null-free batches of a few rows or more the columnar wire
+    /// model beats the row model (Σ `Tuple::wire_size`) — the point of
+    /// one tag per column. (With nulls the row codec can win: it spends
+    /// 1 byte per null where the columnar layout packs an 8-byte
+    /// placeholder.)
     #[test]
     fn column_batch_roundtrips_row_batch(
         rows in prop::collection::vec((any::<i64>(), prop::option::of(0u8..26), any::<bool>()), 0..80),
@@ -96,21 +99,19 @@ proptest! {
                 if *null_float { Value::Null } else { Value::Float(*i as f64) },
             ])
         }).collect();
-        let batch = Batch::new(tuples);
         let types = [DataType::Int, DataType::Str, DataType::Float];
-        let cols = ColumnBatch::from_tuples(&types, batch.tuples()).unwrap();
-        prop_assert_eq!(cols.rows(), batch.len());
-        let back = Batch::new(cols.to_tuples());
-        prop_assert_eq!(back.tuples(), batch.tuples());
-        prop_assert_eq!(back.bytes(), batch.bytes());
-        let has_nulls = batch.tuples().iter().any(|t| t.values().iter().any(Value::is_null));
-        if !has_nulls && batch.len() >= 4 {
-            prop_assert!(cols.bytes() < batch.bytes());
+        let cols = ColumnBatch::from_tuples(&types, &tuples).unwrap();
+        prop_assert_eq!(cols.rows(), tuples.len());
+        prop_assert_eq!(&cols.to_tuples(), &tuples);
+        let row_bytes: usize = tuples.iter().map(Tuple::wire_size).sum();
+        let has_nulls = tuples.iter().any(|t| t.values().iter().any(Value::is_null));
+        if !has_nulls && tuples.len() >= 4 {
+            prop_assert!(cols.bytes() < row_bytes);
         }
     }
 
     /// A columnar flow (vectorized filter + projection) agrees with the
-    /// row flow applying the same stages, for any threshold.
+    /// same stages applied tuple by tuple, for any threshold.
     #[test]
     fn columnar_flow_agrees_with_row_flow(values in prop::collection::vec(any::<i64>(), 0..100), threshold in any::<i64>()) {
         let flow = Flow::identity()
@@ -121,9 +122,10 @@ proptest! {
             .map(|v| Tuple::new(vec![Value::Int(*v), Value::Int(v.wrapping_mul(3))]))
             .collect();
         let cols = ColumnBatch::from_tuples(&[DataType::Int, DataType::Int], &tuples).unwrap();
-        let row_out = flow.apply(Batch::new(tuples));
+        let pred = ColPredicate::IntGe { col: 0, min: threshold };
+        let row_out: Vec<Tuple> = tuples.iter().filter(|t| pred.matches_tuple(t)).map(|t| t.project(&[1])).collect();
         let col_out = flow.apply_columns(cols);
-        prop_assert_eq!(col_out.to_tuples(), row_out.tuples());
+        prop_assert_eq!(col_out.to_tuples(), row_out);
     }
 
     /// Bulk SPSC transfer round-trips any payload exactly once, in order,

@@ -3,7 +3,8 @@
 //! Compares the JSONs emitted by the gated ablations — `abl_adaptive`
 //! (`BENCH_adaptive.json`, transport level), `abl_routing`
 //! (`BENCH_routing.json`, engine level), `abl_columnar`
-//! (`BENCH_columnar.json`, OLAP stream level), `abl_htap`
+//! (`BENCH_columnar.json`, OLAP stream level: the deterministic row vs
+//! columnar wire bytes of the Q3 streams), `abl_htap`
 //! (`BENCH_htap.json`, HTAP-local level: shared-snapshot columnar Q3 +
 //! the zero-copy split flatness ceiling), `abl_shared`
 //! (`BENCH_shared.json`, multi-query level: shared-pipeline cost
@@ -30,11 +31,11 @@
 //! events/sec vary with the CI host, ratios between two modes measured
 //! in the same run do not. Absolute metrics in the current JSONs are
 //! reported but not gated. The baseline values are the *acceptance
-//! floors* the PRs committed to (e.g. batched >= 1.5x unbatched,
-//! columnar >= 2x row) — not last-measured ratios — so an improvement
-//! to one mode can never trip the gate on the ratio it appears under;
-//! each bench's header comment records its observed run-to-run
-//! variance and why its floor sits where it does.
+//! floors* the PRs committed to (e.g. batched >= 1.5x unbatched, row
+//! streams >= 2x the columnar wire bytes) — not last-measured ratios —
+//! so an improvement to one mode can never trip the gate on the ratio it
+//! appears under; each bench's header comment records its observed
+//! run-to-run variance and why its floor sits where it does.
 //!
 //! Rules, per baseline key:
 //! * key contains `latency`  → lower is better: fail if
